@@ -22,6 +22,9 @@
 //                          vs. the aspect plumbing around it.
 //   recovery_replay      — full open+replay of a 4k-commit log, per
 //                          recovered commit: the crash-restart cost.
+//   crc32c               — the frame checksum alone over a 64 KiB buffer
+//                          (items = bytes): what open and replay pay per
+//                          byte of log scanned.
 //
 // Each ticket series alternates open/assign so the buffer never fills and
 // admission never blocks — the numbers isolate the persistence delta, not
@@ -31,10 +34,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/ticket/durable_ticket.hpp"
 #include "apps/ticket/ticket_proxy.hpp"
 #include "aspects/synchronization.hpp"
+#include "storage/crc32c.hpp"
 #include "storage/wal.hpp"
 
 namespace {
@@ -196,6 +201,22 @@ void BM_RecoveryReplay(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_RecoveryReplay);
+
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<unsigned char> data(64u << 10);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 31 + 7);
+  }
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = storage::crc32c_extend(crc, data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  // Items are bytes, so the snapshot's items_per_second is the byte rate.
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32c);
 
 }  // namespace
 

@@ -129,23 +129,37 @@ inline std::string encode_commit(const core::InvocationContext& ctx) {
   return out;
 }
 
-inline runtime::Result<CommitRecord> decode_commit(std::string_view payload) {
+/// Decodes `payload` into `rec`, reusing its strings' and notes' capacity:
+/// a replay that decodes every record into one CommitRecord allocates only
+/// when a record outgrows the largest one before it. Malformed or trailing
+/// bytes fail with kCorrupted, leaving `rec` valid but unspecified.
+inline runtime::Result<void> decode_commit_into(std::string_view payload,
+                                                CommitRecord& rec) {
   wire::Reader r{payload};
-  CommitRecord rec;
   rec.invocation_id = r.u64();
   rec.body_succeeded = r.u8() != 0;
-  rec.method = std::string(r.str());
-  rec.principal = std::string(r.str());
+  rec.method.assign(r.str());
+  rec.principal.assign(r.str());
   const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && !r.failed; ++i) {
-    std::string key(r.str());
-    std::string value(r.str());
-    rec.notes.emplace_back(std::move(key), std::move(value));
+  std::size_t n = 0;
+  for (; n < count && !r.failed; ++n) {
+    const std::string_view key = r.str();
+    const std::string_view value = r.str();
+    if (n == rec.notes.size()) rec.notes.emplace_back();
+    rec.notes[n].first.assign(key);
+    rec.notes[n].second.assign(value);
   }
+  rec.notes.resize(n);
   if (r.failed || r.pos != payload.size()) {
     return runtime::make_error(runtime::ErrorCode::kCorrupted,
                                "codec: malformed commit record payload");
   }
+  return {};
+}
+
+inline runtime::Result<CommitRecord> decode_commit(std::string_view payload) {
+  CommitRecord rec;
+  if (auto r = decode_commit_into(payload, rec); !r.ok()) return r.error();
   return rec;
 }
 

@@ -16,7 +16,8 @@ Checkpointer::Checkpointer(CheckpointFn fn, Options options)
     thread_ = std::jthread([this](std::stop_token st) {
       std::unique_lock lk(mu_);
       while (!st.stop_requested()) {
-        if (cv_.wait_for(lk, st, options_.interval, [] { return false; })) {
+        if (cv_.wait_for(lk, st, options_.interval,
+                         [&st] { return st.stop_requested(); })) {
           return;  // stop requested
         }
         lk.unlock();

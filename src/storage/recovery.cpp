@@ -18,17 +18,16 @@ Result<RecoveryStats> Recovery::recover(Storage& storage,
     if (!restored.ok()) return restored.error();
   }
 
+  // One CommitRecord for the whole pass: decode reuses its capacity, so
+  // replay holds O(largest record) here, whatever the log's length.
+  CommitRecord decoded;
   auto replayed = storage.replay(
       stats.snapshot_lsn, [&](const WalRecord& record) -> Result<void> {
         if (record.type != kCommitRecord) return {};  // future record kinds
-        auto decoded = decode_commit(record.payload);
-        if (!decoded.ok()) return decoded.error();
-        auto applied = apply(record.lsn, decoded.value());
-        if (!applied.ok()) return applied.error();
+        if (auto r = decode_commit_into(record.payload, decoded); !r.ok())
+          return r;
+        if (auto r = apply(record.lsn, decoded); !r.ok()) return r;
         ++stats.replayed;
-        stats.records.push_back(RecoveryStats::Replayed{
-            record.lsn, decoded.value().invocation_id,
-            std::string(decoded.value().method)});
         return {};
       });
   if (!replayed.ok()) return replayed.error();

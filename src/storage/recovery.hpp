@@ -21,7 +21,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "storage/codec.hpp"
 #include "storage/storage.hpp"
@@ -32,14 +31,6 @@ namespace amf::storage {
 struct RecoveryStats {
   Lsn snapshot_lsn = 0;       ///< log position the restored snapshot covered
   std::uint64_t replayed = 0; ///< commit records re-applied after it
-
-  struct Replayed {
-    Lsn lsn = 0;
-    std::uint64_t invocation_id = 0;  ///< ORIGINAL id from the log
-    std::string method;
-  };
-  /// Every replayed record in log order (duplicate/lost-effect audits).
-  std::vector<Replayed> records;
 };
 
 class Recovery {
@@ -49,7 +40,8 @@ class Recovery {
   using Restore = std::function<runtime::Result<void>(std::string_view)>;
 
   /// Re-applies one logged commit record (expected: a real proxy call with
-  /// ctx note kReplayNoteKey = record.invocation_id).
+  /// ctx note kReplayNoteKey = record.invocation_id). The record is reused
+  /// for the next one: copy out anything needed after the call returns.
   using Apply =
       std::function<runtime::Result<void>(Lsn, const CommitRecord&)>;
 
@@ -60,7 +52,8 @@ class Recovery {
   /// Full recovery pass: load newest valid snapshot → `restore` → replay
   /// the log tail through `apply` in LSN order. Unknown record types are
   /// skipped (forward compatibility); malformed commit payloads and LSN
-  /// gaps fail with kCorrupted.
+  /// gaps fail with kCorrupted. Holds memory bounded by the largest log
+  /// segment, not by the number of records replayed.
   static runtime::Result<RecoveryStats> recover(Storage& storage,
                                                 const Restore& restore,
                                                 const Apply& apply);

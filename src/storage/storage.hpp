@@ -64,7 +64,8 @@ class Storage {
 
   /// Invokes `fn` for every durable record with lsn > `after` in LSN
   /// order. Recovery-time API: call before issuing new appends, otherwise
-  /// records synced after the call started may or may not be seen.
+  /// records synced after the call started may or may not be seen. The
+  /// record passed to `fn` may be reused for the next one.
   virtual runtime::Result<void> replay(
       Lsn after,
       const std::function<runtime::Result<void>(const WalRecord&)>& fn)

@@ -29,12 +29,12 @@ constexpr std::uint32_t kMagic = 0x57464D41u;  // "AMFW" little-endian
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8 + 1;
 constexpr std::size_t kMaxPayload = 256u << 20;  // sanity bound, not a limit
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = char((v >> (8 * i)) & 0xFF);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
+void store_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = char((v >> (8 * i)) & 0xFF);
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -100,16 +100,28 @@ Result<std::vector<Segment>> list_segments(const std::string& dir) {
   return segments;
 }
 
-Result<std::string> read_file(const std::string& path) {
+/// Reads the segment at `path` into `buf`, reusing its capacity: one scan
+/// grows it to the largest segment and no further. Returns the byte count
+/// (the prefix of `buf` that holds the file). Reads the size fstat reports
+/// — a scan runs at recovery time, when nothing appends to the directory.
+Result<std::size_t> read_file(const std::string& path, std::string& buf) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return make_error(ErrorCode::kUnavailable,
                       "wal: open " + path + ": " + std::strerror(errno));
   }
-  std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return make_error(ErrorCode::kUnavailable,
+                      "wal: stat " + path + ": " + std::strerror(err));
+  }
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (buf.size() < size) buf.resize(size);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, buf.data() + got, size - got);
     if (n < 0) {
       if (errno == EINTR) continue;
       const int err = errno;
@@ -117,11 +129,11 @@ Result<std::string> read_file(const std::string& path) {
       return make_error(ErrorCode::kUnavailable,
                         "wal: read " + path + ": " + std::strerror(err));
     }
-    if (n == 0) break;
-    data.append(buf, static_cast<std::size_t>(n));
+    if (n == 0) break;  // shrank since fstat: scan what is there
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  return data;
+  return got;
 }
 
 /// Best-effort directory fsync: makes freshly created / renamed / removed
@@ -146,6 +158,9 @@ struct ScanOutcome {
 
 /// Walks every segment, validates framing, CRC and LSN continuity, and
 /// hands each valid record with lsn > `after` to `fn` (which may be null).
+/// Memory stays O(largest segment): every segment is read into one reused
+/// buffer and every frame decoded into one reused WalRecord, so `fn` sees
+/// a record that is only valid for the duration of the call.
 /// A frame-integrity failure on the last segment is reported as a torn
 /// tail; anything else is kCorrupted.
 ///
@@ -173,6 +188,8 @@ Result<ScanOutcome> scan_dir(
             " (snapshot too old for the compacted log)");
   }
 
+  std::string buf;
+  WalRecord record;
   Lsn expected = out.segments.front().first_lsn;
   for (std::size_t si = 0; si < out.segments.size(); ++si) {
     const Segment& seg = out.segments[si];
@@ -183,14 +200,14 @@ Result<ScanOutcome> scan_dir(
                             std::to_string(seg.first_lsn) + ", expected " +
                             std::to_string(expected));
     }
-    auto data = read_file(seg.path);
-    if (!data.ok()) return data.error();
-    const std::string& bytes = data.value();
+    auto loaded = read_file(seg.path, buf);
+    if (!loaded.ok()) return loaded.error();
+    const std::string_view bytes(buf.data(), loaded.value());
 
     std::size_t off = 0;
     while (off < bytes.size()) {
       const std::size_t remaining = bytes.size() - off;
-      std::string tear;
+      const char* tear = nullptr;
       if (remaining < kHeaderBytes) {
         tear = "truncated header";
       } else {
@@ -207,7 +224,7 @@ Result<ScanOutcome> scan_dir(
                    crc) {
           tear = "crc mismatch";
         }
-        if (tear.empty()) {
+        if (tear == nullptr) {
           const Lsn lsn = get_u64(p + 12);
           if (lsn != expected) {
             // A CRC-valid frame with the wrong sequence number is not a
@@ -219,7 +236,6 @@ Result<ScanOutcome> scan_dir(
                                   std::to_string(expected));
           }
           if (lsn > after && fn != nullptr && *fn) {
-            WalRecord record;
             record.lsn = lsn;
             record.type = std::uint8_t(p[20]);
             record.payload.assign(p + kHeaderBytes, length);
@@ -344,24 +360,23 @@ runtime::Result<Lsn> Wal::append(std::uint8_t type, std::string_view payload) {
                       "wal: payload exceeds the 256 MiB frame bound");
   }
 
+  // Reserve first: if that throws, no LSN has been handed out and the
+  // buffer is untouched, so the log cannot gain a gap or a half frame.
+  buffer_.reserve(buffer_.size() + kHeaderBytes + payload.size());
   const Lsn lsn = next_lsn_++;
-  // Frame into the group-commit buffer. The crc covers length|lsn|type|
-  // payload, i.e. everything after itself.
-  std::string frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  put_u32(frame, kMagic);
-  put_u32(frame, 0);  // crc placeholder
-  put_u32(frame, std::uint32_t(payload.size()));
-  put_u64(frame, lsn);
-  frame.push_back(char(type));
-  frame.append(payload);
-  const std::uint32_t crc =
-      crc32c_extend(0, frame.data() + 8, frame.size() - 8);
-  frame[4] = char(crc & 0xFF);
-  frame[5] = char((crc >> 8) & 0xFF);
-  frame[6] = char((crc >> 16) & 0xFF);
-  frame[7] = char((crc >> 24) & 0xFF);
-  buffer_ += frame;
+  // Frame straight into the group-commit buffer. The crc covers length|
+  // lsn|type|payload, i.e. everything after itself.
+  char header[kHeaderBytes] = {};
+  store_u32(header, kMagic);
+  store_u32(header + 8, std::uint32_t(payload.size()));
+  store_u64(header + 12, lsn);
+  header[20] = char(type);
+  const std::uint32_t crc = crc32c_extend(
+      crc32c_extend(0, header + 8, kHeaderBytes - 8), payload.data(),
+      payload.size());
+  store_u32(header + 4, crc);
+  buffer_.append(header, kHeaderBytes);
+  buffer_.append(payload);
   ++buffered_records_;
 
   // Rotation doubles as a sync barrier: the outgoing segment is flushed

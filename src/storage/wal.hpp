@@ -141,7 +141,9 @@ class Wal {
   /// record with lsn > `after`, in LSN order. Tolerates a torn tail on the
   /// last segment (stops there); fails with kCorrupted on damage anywhere
   /// else or on an LSN gap after `after`. Usable while no Wal instance has
-  /// the directory open for writing (recovery-time API).
+  /// the directory open for writing (recovery-time API). Streams: one
+  /// segment buffer and one WalRecord serve the whole scan, so `fn` must
+  /// copy out anything it keeps past its return.
   static runtime::Result<void> scan(
       const std::string& dir, Lsn after,
       const std::function<runtime::Result<void>(const WalRecord&)>& fn);

@@ -87,6 +87,19 @@ TEST(CheckpointerTest, BackgroundThreadRunsPeriodically) {
   EXPECT_EQ(cp.runs(), after_stop);  // stop() really stops it
 }
 
+TEST(CheckpointerTest, StopDoesNotRunAnExtraCheckpoint) {
+  // A stop request wakes the waiting thread; it must exit, not fall through
+  // to one more checkpoint on its way out.
+  Checkpointer::Options options;
+  options.interval = std::chrono::hours(1);
+  Checkpointer cp([]() -> runtime::Result<Lsn> { return Lsn(1); }, options);
+  std::this_thread::sleep_for(5ms);  // let the thread reach its wait
+  const auto before_stop = cp.runs();
+  cp.stop();
+  EXPECT_EQ(cp.runs(), before_stop);
+  EXPECT_EQ(cp.runs(), 0u);
+}
+
 TEST_F(MaintenanceTest, BackgroundCheckpointsNeverBlockLiveTraffic) {
   // The satellite claim: checkpoints ride the moderated exclusion-writer
   // method on the checkpointer's OWN thread — the snapshot write, prune and

@@ -30,6 +30,40 @@ using runtime::ErrorCode;
 using runtime::FaultInjector;
 using runtime::FaultPoint;
 
+/// One frame exactly as DESIGN.md §15.1 documents it, built by hand:
+/// magic | crc32c | length | lsn | type | payload, the crc covering every
+/// byte after itself.
+std::string frame_bytes(Lsn lsn, std::uint8_t type, std::string_view payload) {
+  std::string out;
+  auto put_u32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
+  };
+  auto put_u64 = [&out](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
+  };
+  put_u32(0x57464D41u);  // magic "AMFW"
+  put_u32(0);            // crc placeholder
+  put_u32(std::uint32_t(payload.size()));
+  put_u64(lsn);
+  out.push_back(char(type));
+  out.append(payload);
+  const std::uint32_t crc = crc32c_extend(0, out.data() + 8, out.size() - 8);
+  for (int i = 0; i < 4; ++i) out[4 + i] = char((crc >> (8 * i)) & 0xFF);
+  return out;
+}
+
+/// Bit-at-a-time CRC32C: the definition, independent of the tables.
+std::uint32_t reference_crc32c(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 class StorageDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -84,6 +118,46 @@ TEST(Crc32cTest, IncrementalEqualsOneShot) {
   std::uint32_t state = 0;
   for (char c : data) state = crc32c_extend(state, &c, 1);
   EXPECT_EQ(state, crc32c(data));
+}
+
+TEST(Crc32cTest, MatchesTheRfc3720KnownAnswers) {
+  // RFC 3720 §B.4: 32-byte iSCSI test vectors.
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xFF');
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = char(i);
+    descending[i] = char(31 - i);
+  }
+  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(crc32c(descending), 0x113FDB5Cu);
+}
+
+TEST(Crc32cTest, EverySplitAndMisalignedStartAgrees) {
+  // Lengths 0..64 straddle the 8-byte stride and its byte-wise tail;
+  // starts 0..7 put the stride on every alignment. Each result must match
+  // the bit-at-a-time definition, whole and split at every point.
+  std::vector<unsigned char> data(64 + 8);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 167 + 13);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    const unsigned char* p = data.data() + start;
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint32_t want = reference_crc32c(p, len);
+      ASSERT_EQ(crc32c_extend(0, p, len), want)
+          << "start " << start << " len " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32c_extend(crc32c_extend(0, p, split), p + split,
+                                len - split),
+                  want)
+            << "start " << start << " len " << len << " split " << split;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- wal --
@@ -277,6 +351,36 @@ TEST_F(StorageDirTest, RepairAppendReopenScanRoundTrip) {
   EXPECT_EQ(records[2].payload, "after-repair");
 }
 
+TEST_F(StorageDirTest, TornLastSegmentIsNotReadPastItsEnd) {
+  // Every segment is read into one reused buffer. The short, torn last
+  // segment leaves the previous segment's frames sitting past its end in
+  // that buffer; the scan must stop at the file's length, not mistake
+  // them for more log (they would carry the wrong lsns: kCorrupted).
+  WalOptions options;
+  options.segment_bytes = 512;
+  options.sync_every = 1;
+  {
+    auto wal = Wal::open(dir(), options);
+    ASSERT_TRUE(wal.ok());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(wal.value()->append(1, "padding-padding-padding").ok());
+    }
+  }
+  const auto segments = files_with("wal-", ".log");
+  ASSERT_GT(segments.size(), 2u);
+  const auto& last = segments.back();
+  const auto frame = frame_bytes(1, 1, "padding-padding-padding").size();
+  ASSERT_GE(fs::file_size(last), frame);
+  fs::resize_file(last, frame + 5);  // one whole frame, then a tear
+
+  WalOpenInfo info;
+  auto reopened = Wal::open(dir(), options, &info);
+  ASSERT_TRUE(reopened.ok()) << reopened.error().to_string();
+  EXPECT_EQ(info.truncated_bytes, 5u);
+  EXPECT_EQ(fs::file_size(last), frame);
+  EXPECT_EQ(scan_all().size(), info.records);
+}
+
 TEST_F(StorageDirTest, DamageBeforeTheFinalSegmentIsCorruption) {
   WalOptions options;
   options.segment_bytes = 64;  // several segments
@@ -307,26 +411,9 @@ TEST_F(StorageDirTest, CrcValidFrameWithWrongLsnIsCorruption) {
   // Hand-craft a segment whose second frame skips an lsn. Both frames are
   // CRC-valid, so this is NOT a torn tail — it is history damage even at
   // the end of the log, and open must refuse.
-  auto frame = [](Lsn lsn, std::string_view payload) {
-    std::string out;
-    auto put_u32 = [&out](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
-    };
-    auto put_u64 = [&out](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
-    };
-    put_u32(0x57464D41u);  // magic "AMFW"
-    put_u32(0);            // crc placeholder
-    put_u32(std::uint32_t(payload.size()));
-    put_u64(lsn);
-    out.push_back(char(1));
-    out.append(payload);
-    const std::uint32_t crc = crc32c_extend(0, out.data() + 8, out.size() - 8);
-    for (int i = 0; i < 4; ++i) out[4 + i] = char((crc >> (8 * i)) & 0xFF);
-    return out;
-  };
   fs::create_directories(dir_);
-  const std::string body = frame(1, "first") + frame(3, "skipped-two");
+  const std::string body =
+      frame_bytes(1, 1, "first") + frame_bytes(3, 1, "skipped-two");
   {
     std::FILE* f =
         std::fopen((dir_ / "wal-0000000000000001.log").c_str(), "wb");
@@ -337,6 +424,35 @@ TEST_F(StorageDirTest, CrcValidFrameWithWrongLsnIsCorruption) {
   auto opened = Wal::open(dir(), WalOptions{});
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.error().code, ErrorCode::kCorrupted);
+}
+
+TEST_F(StorageDirTest, AppendWritesExactlyTheDocumentedFrames) {
+  // Pins append()'s bytes on disk: logs written by earlier builds must
+  // keep opening, so the framing may never drift.
+  WalOptions options;
+  options.sync_every = 0;
+  const std::string big(300, 'p');  // spans many CRC strides
+  {
+    auto wal = Wal::open(dir(), options);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal.value()->append(1, "first").ok());
+    ASSERT_TRUE(wal.value()->append(7, "").ok());
+    ASSERT_TRUE(wal.value()->append(2, big).ok());
+    ASSERT_TRUE(wal.value()->sync().ok());
+  }
+  const auto segments = files_with("wal-", ".log");
+  ASSERT_EQ(segments.size(), 1u);
+  std::string on_disk;
+  {
+    std::FILE* f = std::fopen(segments[0].c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[512];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) on_disk.append(buf, n);
+    std::fclose(f);
+  }
+  EXPECT_EQ(on_disk, frame_bytes(1, 1, "first") + frame_bytes(2, 7, "") +
+                         frame_bytes(3, 2, big));
 }
 
 TEST_F(StorageDirTest, InjectedIoErrorFencesTheDevice) {
