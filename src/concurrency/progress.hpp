@@ -14,12 +14,16 @@
 // A parked call whose persona is never progressed never completes — the
 // async analogue of a thread that never returns to its event loop. Code
 // that blocks a persona thread on a future must interleave progress()
-// (see progress_until()).
+// (see progress_until()), or sleep on the persona's doorbell (wait()) when
+// every event it waits for arrives as an enqueue.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 
 #include "concurrency/intru_queue.hpp"
@@ -43,11 +47,38 @@ class Persona {
   Persona(const Persona&) = delete;
   Persona& operator=(const Persona&) = delete;
 
-  /// Hands a ready node to this persona. Any thread, lock-free. The node
-  /// must stay untouched by the producer until its `fire` runs.
+  /// Hands a ready node to this persona. Any thread; lock-free unless the
+  /// owner sleeps in wait(), which it then wakes. The node must stay
+  /// untouched by the producer until its `fire` runs. The producer touches
+  /// the persona itself until this returns: an owner that may destroy the
+  /// persona right after firing the node must order that after the call
+  /// (the moderator enqueues under a shard mutex the node's retry takes).
   void enqueue(ProgressNode* node) {
     ready_.push(node);
     enqueued_.fetch_add(1, std::memory_order_relaxed);
+    // Dekker pair with wait(): the seq_cst push, then this load; the owner
+    // stores `sleeping_`, then re-checks the queue. One side sees the other.
+    if (sleeping_.load(std::memory_order_seq_cst)) {
+      std::scoped_lock lk(bell_mu_);
+      bell_.notify_one();
+    }
+  }
+
+  /// Doorbell: sleeps until a node is queued or the steady clock reaches
+  /// `until` (default: no deadline). Returns at once if a node is already
+  /// queued. Owner thread only; it fires nothing — call progress() next.
+  void wait(std::chrono::steady_clock::time_point until =
+                std::chrono::steady_clock::time_point::max()) {
+    std::unique_lock lk(bell_mu_);
+    sleeping_.store(true, std::memory_order_seq_cst);
+    while (ready_.empty()) {
+      if (until == std::chrono::steady_clock::time_point::max()) {
+        bell_.wait(lk);
+      } else if (bell_.wait_until(lk, until) == std::cv_status::timeout) {
+        break;
+      }
+    }
+    sleeping_.store(false, std::memory_order_relaxed);
   }
 
   /// Drains and fires every ready node, including nodes that became ready
@@ -88,6 +119,10 @@ class Persona {
  private:
   IntruQueue<ProgressNode> ready_;
   std::atomic<std::uint64_t> enqueued_{0};
+  // Doorbell state; `sleeping_` is only true while the owner is in wait().
+  std::atomic<bool> sleeping_{false};
+  std::mutex bell_mu_;
+  std::condition_variable bell_;
 };
 
 /// Drains the calling thread's persona once.

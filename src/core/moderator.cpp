@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <string>
-#include <type_traits>
 
 #include "runtime/health.hpp"
 
@@ -85,6 +84,18 @@ std::uint64_t next_instance_nonce() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+// The wake target of this thread's synchronous waits: a persona only sync
+// parked calls are ever enqueued on, so no unrelated async continuation
+// runs inside a sync wait (where a nested sync call could deadlock on the
+// outer one). One per thread serves every sync call on it: a waiter only
+// ever finds its own node queued, because a node is enqueued only while
+// its caller waits for it. Thread-lifetime, so a signaller may still ring
+// it after the call it woke has returned.
+concurrency::Persona& tl_sync_persona() {
+  static thread_local concurrency::Persona persona;
+  return persona;
+}
+
 // Thread-local Moderation cache capacity; small and scanned linearly —
 // a process rarely touches more than a handful of (moderator, method)
 // pairs per thread, and eviction only costs a rebuild.
@@ -153,279 +164,32 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // across composition epochs so retroactive arrivals fire exactly once.
   ArrivedVec arrived;
 
-  // Optimistic fast path: one lock-free attempt before any mutex. Falls
-  // through to the slow loop on ineligibility, validation failure, or a
-  // kBlock verdict (on_arrive hooks that fired carry over via `arrived`).
-  // Hook-bearing fast admissions draw their arrival_seq inside the
-  // attempt; hook-free ones skip the shared counter entirely.
+  // 1. Optimistic fast path: one lock-free attempt before any mutex. Falls
+  // through on ineligibility, validation failure, or a kBlock verdict
+  // (on_arrive hooks that fired carry over via `arrived`).
   {
     Decision fast{};
     if (try_fast_admission(ctx, arrived, &fast)) return fast;
   }
 
-  if (ctx.enqueued_at() == runtime::TimePoint{}) {
-    ctx.set_enqueued_at(now_fast());
-  }
-  if (ctx.arrival_seq() == 0) {
-    ctx.set_arrival_seq(
-        arrival_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
-
-  // Each outer iteration evaluates against one composition epoch. A bank
-  // reconfiguration invalidates the chain AND possibly the lock group, so
-  // the waiter falls out of the wait, releases its shard set, and restarts
-  // with the fresh composition (run-time adaptability, §5.3).
-  for (;;) {
+  // 2. Batch moderation (DESIGN.md §14): grouped no-plan admissions take
+  // the flat-combining path — enqueue, and either become the combiner
+  // (draining the whole batch under ONE all-shards acquisition) or sleep
+  // on the request's own cv slot until a leader settles it. Shutdown
+  // takes the park path, which owns the refusal semantics. The peek holds
+  // no burst, so every other admission pays for exactly one per attempt.
+  while (cached_moderation(ctx.method())->batch_eligible &&
+         !shutdown_.load(std::memory_order_acquire)) {
+    stamp_arrival(ctx);
     const std::uint64_t burst_gen = enter_burst();
     const int parity = burst_parity(burst_gen);
-    // Thread-local lookup: the fast attempt above primed this thread's
-    // cache, so the common (no-recompose) iteration resolves the record
-    // without touching the registry lock.
-    // Owning copy: the slow path sleeps with this record in hand, and the
-    // cache slot it came from may be displaced while we do.
+    // Owning copy: the owner sleeps with this record in hand, and the
+    // cache slot it came from may be displaced while it does.
     const std::shared_ptr<const Moderation> mod =
         cached_moderation(ctx.method());
-    const std::uint64_t epoch = mod->epoch;
-    const CompiledChainData& cc = *mod->compiled;
-    MethodState& ms = *mod->self;
-
-    // Batch moderation (DESIGN.md §14): grouped no-plan admissions take
-    // the flat-combining path — enqueue, and either become the combiner
-    // (draining the whole batch under ONE all-shards acquisition) or park
-    // on the request's own cv slot until a leader settles it. Shutdown
-    // stays on the classic path, which owns the refusal semantics.
-    if (mod->batch_eligible && !shutdown_.load(std::memory_order_acquire)) {
-      const Outcome out = batch_moderate(ctx, mod, burst_gen, arrived);
-      exit_burst(parity);
-      if (out == Outcome::kRecompose) continue;
-      if (out == Outcome::kAborted) {
-        drain_quarantine();
-        return Decision::kAbort;
-      }
-      return Decision::kResume;
-    }
-
-    // Watchdog record of the current blocked episode, if any.
-    std::shared_ptr<StallRecord> stall_rec;
-
-    // The moderation body, parameterized over the lock/condvar pair it
-    // waits with. `lk` holds the WHOLE eval shard set of this epoch; `cv`
-    // is the shard's native condition_variable (single-shard, no stop
-    // token) or its condition_variable_any (group waits release the whole
-    // LockSet; stop-token waits only exist on cv_any).
-    auto moderate = [&](auto& lk, auto& cv) -> Outcome {
-      constexpr bool kStopCapable =
-          std::is_same_v<std::remove_reference_t<decltype(cv)>,
-                         std::condition_variable_any>;
-
-      if (cc.any_arrive) {
-        for (const CompiledOp& op : cc.ops) {
-          if (std::find(arrived.begin(), arrived.end(), op.aspect) ==
-              arrived.end()) {
-            guarded_on_arrive(op, ctx);
-            arrived.push_back(op.aspect);
-          }
-        }
-      }
-
-      Decision verdict = Decision::kBlock;
-      bool recompose = false;
-      // Guard predicate for the condition-variable wait (CP.42): true when
-      // the caller should stop waiting (admitted, vetoed, shutdown, evicted
-      // by the watchdog, or the composition changed under it).
-      auto done_waiting = [&]() -> bool {
-        if (shutdown_.load(std::memory_order_acquire)) {
-          verdict = Decision::kAbort;
-          ctx.set_abort_error(runtime::make_error(ErrorCode::kCancelled,
-                                                  "moderator shut down"));
-          return true;
-        }
-        if (stall_rec &&
-            stall_rec->evicted.load(std::memory_order_acquire)) {
-          verdict = Decision::kAbort;
-          ctx.set_abort_error(runtime::make_error(
-              ErrorCode::kDeadlineExceeded,
-              "evicted by stall watchdog while blocked"));
-          return true;
-        }
-        // A gen move means a recomposition barrier is (or was) draining
-        // this burst's side; fall out so the barrier can complete.
-        if (gen_.load(std::memory_order_seq_cst) != burst_gen) {
-          recompose = true;
-          return true;
-        }
-        if (bank_.version() != epoch) {
-          recompose = true;
-          return true;
-        }
-        verdict = evaluate_chain_under_locks(cc, ctx);
-        if (verdict == Decision::kBlock) ctx.note_blocked();
-        return verdict != Decision::kBlock;
-      };
-
-      if (!done_waiting()) {
-        // Register as a sleeper BEFORE the cv wait (whose predicate
-        // re-evaluates the guards after this point): a fast completion
-        // that validates sleepers_ == 0 afterwards is ordered before this
-        // increment, and our re-check inside the wait then runs after the
-        // full fence of the seq_cst RMW — so we either see its effects or
-        // it sees us and takes the broadcasting slow path.
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        ms.stats.block_events.fetch_add(1, std::memory_order_relaxed);
-        log_event("blocked", ctx);
-        if (watchdog_) {
-          stall_rec = std::make_shared<StallRecord>();
-          stall_rec->invocation_id = ctx.id();
-          stall_rec->method = ctx.method();
-          stall_rec->blocked_since = clock_->now();
-          stall_rec->deadline = ctx.deadline();
-          stall_rec->chain = join_chain_names(cc);
-          stall_rec->blocked_by =
-              std::string(ctx.note_view("blocked.by").value_or("?"));
-          stall_rec->shard = &ms;
-          register_stall_record(stall_rec);
-        }
-        ms.waiters += 1;
-        if constexpr (kStopCapable) ms.waiters_any += 1;
-        bool satisfied = true;
-        bool stop_requested = false;
-
-        const bool has_deadline = ctx.deadline().has_value();
-        const bool steady_deadline =
-            has_deadline && clock_->is_steady_compatible();
-        if (steady_deadline) {
-          if constexpr (kStopCapable) {
-            if (ctx.stop()) {
-              satisfied = cv.wait_until(lk, *ctx.stop(), *ctx.deadline(),
-                                        done_waiting);
-              stop_requested = ctx.stop()->stop_requested();
-            } else {
-              satisfied = cv.wait_until(lk, *ctx.deadline(), done_waiting);
-            }
-          } else {
-            satisfied = cv.wait_until(lk, *ctx.deadline(), done_waiting);
-          }
-        } else if (has_deadline) {
-          // Simulated clock: poll the deadline against the moderator's
-          // clock.
-          for (;;) {
-            if (done_waiting()) break;
-            if (clock_->now() >= *ctx.deadline()) {
-              satisfied = false;
-              break;
-            }
-            if (ctx.stop() && ctx.stop()->stop_requested()) {
-              satisfied = false;
-              stop_requested = true;
-              break;
-            }
-            cv.wait_for(lk, kManualClockPoll);
-          }
-        } else if (ctx.stop()) {
-          if constexpr (kStopCapable) {
-            satisfied = cv.wait(lk, *ctx.stop(), done_waiting);
-            stop_requested = ctx.stop()->stop_requested();
-          }
-        } else {
-          cv.wait(lk, done_waiting);
-        }
-        ms.waiters -= 1;
-        if constexpr (kStopCapable) ms.waiters_any -= 1;
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        if (stall_rec) {
-          unregister_stall_record(ctx.id());
-          stall_rec.reset();
-        }
-
-        if (!satisfied) {
-          guarded_on_cancel(cc, ctx);
-          if (stop_requested) {
-            ctx.set_abort_error(runtime::make_error(
-                ErrorCode::kCancelled, "stop requested while blocked"));
-            ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-            log_event("cancelled", ctx);
-          } else {
-            ctx.set_abort_error(runtime::make_error(
-                ErrorCode::kTimeout,
-                "deadline expired during preactivation"));
-            ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
-            log_event("timeout", ctx);
-          }
-          return Outcome::kAborted;
-        }
-      }
-
-      if (recompose) return Outcome::kRecompose;  // re-read chain and group
-
-      if (verdict == Decision::kAbort) {
-        guarded_on_cancel(cc, ctx);
-        if (!ctx.abort_error()) {
-          std::string by(
-              ctx.note_view("vetoed.by").value_or("unknown aspect"));
-          ctx.set_abort_error(
-              runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
-        }
-        if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-          // Refused by shutdown (or a cancellation-flavored veto), not by
-          // a concern's own decision.
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-          log_event("cancelled", ctx);
-        } else {
-          ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
-          log_event("abort", ctx);
-        }
-        return Outcome::kAborted;
-      }
-
-      // Admission: commit every aspect's state atomically with the guards
-      // — the shard set held here is exactly the set of methods whose
-      // guards can observe these entries (repair D2 under sharding).
-      // admitted_at is stamped first so entry() hooks (e.g. timing) can
-      // read it. Entry throws are contained (the admission stands — entry
-      // and postaction stay paired); precondition throws never reach here.
-      ctx.set_admitted_at(now_fast());
-      if (cc.any_entry || fault_ != nullptr) {
-        for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
-      }
-      if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
-      ctx.set_admitted_chain(mod->chain.get());
-      ctx.set_moderation_hint(mod.get());
-      open_span(ctx, parity);
-      ms.stats.admitted.fetch_add(1, std::memory_order_relaxed);
-      log_event("admitted", ctx);
-      return Outcome::kAdmitted;
-    };
-
-    // Dekker handshake with the fast path: raise `lockers` on the whole
-    // shard set BEFORE locking (and keep it raised across cv sleeps —
-    // a sleeping waiter still claims its shards, which is what lets fast
-    // completions skip the notify safely), then drain open fast windows
-    // under the locks before any hook runs. Skipped entirely while no
-    // fast-capable aspect exists (dekker: loaded AFTER enter_burst, so the
-    // arming barrier's gen flip orders this section after the store).
-    Outcome out;
-    const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
-    if (dekker) lockers_add(mod->eval_shards.data(), mod->eval_shards.size());
-    if (mod->eval_shards.size() == 1 && !ctx.stop()) {
-      std::unique_lock lk(ms.mu);
-      if (dekker) {
-        drain_fast_windows(mod->eval_shards.data(), mod->eval_shards.size());
-      }
-      out = moderate(lk, ms.cv);
-    } else if (mod->eval_shards.size() == 1) {
-      std::unique_lock lk(ms.mu);
-      if (dekker) {
-        drain_fast_windows(mod->eval_shards.data(), mod->eval_shards.size());
-      }
-      out = moderate(lk, ms.cv_any);
-    } else {
-      LockSet locks(mod->eval_shards.data(), mod->eval_shards.size());
-      if (dekker) {
-        drain_fast_windows(mod->eval_shards.data(), mod->eval_shards.size());
-      }
-      out = moderate(locks, ms.cv_any);
-    }
-    if (dekker) lockers_sub(mod->eval_shards.data(), mod->eval_shards.size());
+    const Outcome out = mod->batch_eligible
+                            ? batch_moderate(ctx, mod, burst_gen, arrived)
+                            : Outcome::kRecompose;
     exit_burst(parity);
     if (out == Outcome::kRecompose) continue;
     if (out == Outcome::kAborted) {
@@ -437,6 +201,45 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
     }
     return Decision::kResume;
   }
+
+  // 3. Everything else is an async admission of a ParkedCall on this
+  // stack, bound to this thread's sync persona (see tl_sync_persona).
+  concurrency::Persona& bell = tl_sync_persona();
+  ParkedCall call;
+  call.ctx = &ctx;
+  call.persona = &bell;
+  call.owner = this;
+  call.fire = &AspectModerator::async_retry;
+  call.arrived = arrived;
+  Decision verdict = Decision::kBlock;  // settle never reports kBlock
+  call.settle.emplace([&verdict](Decision d) { verdict = d; });
+  async_attempt(call);
+  if (verdict != Decision::kBlock) return verdict;  // never parked
+
+  // 4. Wait until the call settles. Every signal (completion, barrier,
+  // shutdown, eviction, stop hook) arrives as an enqueue on `bell`; only
+  // the deadline is ours to watch. When it passes, the waiter unparks its
+  // own node, and the retry evaluates once more (PROTOCOL §3.2) before
+  // its deadline check settles kTimeout.
+  // `call` may die on return: a signaller stops touching a node once its
+  // enqueue has linked it, and the retry that settled it took the shard
+  // locks that signaller held.
+  const std::optional<runtime::TimePoint>& deadline = ctx.deadline();
+  while (verdict == Decision::kBlock) {
+    if (bell.progress() != 0) continue;
+    if (!deadline) {
+      bell.wait();
+    } else if (clock_->now() >= *deadline) {
+      std::scoped_lock lk(call.shard->mu);
+      unpark_under_lock(call);
+    } else if (clock_->is_steady_compatible()) {
+      bell.wait(*deadline);
+    } else {
+      // Simulated clock: an advance cannot ring the bell, so poll it.
+      bell.wait(std::chrono::steady_clock::now() + kManualClockPoll);
+    }
+  }
+  return verdict;
 }
 
 void AspectModerator::postactivation(InvocationContext& ctx) {
@@ -511,7 +314,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
       // postactions may touch aspects shared with those methods) and the
       // plan's wake targets (the plan declares whose guards this completion
       // can enable). When the composition moved mid-call, the pinned
-      // record's set is merged in. Ordered acquisition, then notify.
+      // record's set is merged in. Ordered acquisition, then signal.
       ShardVec shards;
       SmallVec<std::uint8_t, 8> wake;
       auto append = [&](const Moderation& m) {
@@ -567,21 +370,11 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
         stats_owner->self->stats.completed.fetch_add(
             1, std::memory_order_relaxed);
         log_event("postactivation", ctx);
+        // Calls park under the shard mutex (held here), so this transfer
+        // serializes with — and cannot miss — any park that saw
+        // pre-completion guard state.
         for (std::size_t i = 0; i < shards.size(); ++i) {
-          // waiters is guarded by the shard's mutex (held): skipping idle
-          // shards cannot lose a wakeup — any future waiter re-evaluates
-          // before sleeping. Parked async nodes ride the same channel:
-          // they park under this mutex, so this transfer serializes with
-          // (and therefore cannot miss) any park that saw pre-completion
-          // guard state.
-          MethodState* s = shards.begin()[i];
-          if (wake.begin()[i]) {
-            if (s->waiters > 0) {
-              if (s->waiters > s->waiters_any) s->cv.notify_all();
-              if (s->waiters_any > 0) s->cv_any.notify_all();
-            }
-            signal_async_under_lock(*s);
-          }
+          if (wake.begin()[i]) transfer_parked_under_lock(*shards.begin()[i]);
         }
       }
       if (dekker) lockers_sub(shards.data(), shards.size());
@@ -620,13 +413,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
       (pinned ? pinned->self : mod->self)
           ->stats.completed.fetch_add(1, std::memory_order_relaxed);
       log_event("postactivation", ctx);
-      for (auto* s : mod->completion_shards) {
-        if (s->waiters > 0) {
-          if (s->waiters > s->waiters_any) s->cv.notify_all();
-          if (s->waiters_any > 0) s->cv_any.notify_all();
-        }
-        signal_async_under_lock(*s);
-      }
+      for (auto* s : mod->completion_shards) transfer_parked_under_lock(*s);
       // A completion is the canonical guard-state change: re-drive queued
       // and parked batch admissions under the all-shards locks we already
       // hold. If another thread owns the combiner token it is blocked on
@@ -668,18 +455,15 @@ void AspectModerator::shutdown() {
   {
     std::shared_lock registry(registry_mu_);
     for (auto& [_, state] : methods_) {
-      // Taking the shard lock orders this notify after any in-flight guard
-      // check that missed the flag, so no waiter can sleep through
-      // shutdown. Parked async nodes are transferred; their retries
-      // observe the flag and settle with kCancelled.
+      // Taking the shard lock orders this transfer after any in-flight
+      // attempt that missed the flag, so no call can park through
+      // shutdown. The retries observe the flag and settle kCancelled.
       std::scoped_lock shard(state->mu);
-      state->cv.notify_all();
-      state->cv_any.notify_all();
-      signal_async_under_lock(*state);
+      transfer_parked_under_lock(*state);
     }
   }
   // Dislodge queued/parked batch admissions: flushed owners re-enter and,
-  // with the flag now set, take the classic path, which refuses with
+  // with the flag now set, take the park path, which refuses with
   // kCancelled.
   flush_batch_requests();
   // Gate-parked arrivals check the shutdown flag in their wait predicate.
@@ -696,23 +480,13 @@ MethodStats AspectModerator::stats(runtime::MethodId method) const {
 }
 
 std::uint64_t AspectModerator::blocked_waiters() const {
-  std::shared_lock registry(registry_mu_);
-  std::uint64_t n = 0;
-  for (const auto& [_, state] : methods_) {
-    std::scoped_lock shard(state->mu);
-    n += state->waiters;
-  }
-  // Batch-moderation parkings (the counter dips transiently to 0 while a
-  // combiner round re-evaluates the spliced list; racy diagnostics, like
-  // the rest of this snapshot).
-  const std::int64_t parked =
-      combiner_.parked.load(std::memory_order_relaxed);
-  if (parked > 0) n += static_cast<std::uint64_t>(parked);
-  // Asynchronously parked calls (DESIGN.md §18) are blocked waiters too —
-  // just ones that don't occupy a thread.
-  const std::int64_t async = async_parked_.load(std::memory_order_relaxed);
-  if (async > 0) n += static_cast<std::uint64_t>(async);
-  return n;
+  // Parked calls (sync waiters and async frames alike) plus batch
+  // parkings; neither counter is ever negative. Both dip transiently while
+  // a node is between a transfer and its retry's re-park; racy
+  // diagnostics.
+  return static_cast<std::uint64_t>(
+      parked_.load(std::memory_order_relaxed) +
+      combiner_.parked.load(std::memory_order_relaxed));
 }
 
 std::string AspectModerator::report() const {
@@ -919,12 +693,6 @@ void AspectModerator::exit_burst(int parity) {
   if ((gen_.load(std::memory_order_seq_cst) & 1) != 0) signal_barrier();
 }
 
-void AspectModerator::open_span(InvocationContext& ctx, int parity) {
-  spans_[static_cast<std::size_t>(parity)].fetch_add(
-      1, std::memory_order_seq_cst);
-  adopt_span(ctx, parity);
-}
-
 void AspectModerator::adopt_span(InvocationContext& ctx, int parity) {
   TlSpanCount* e = tl_find(this);
   if (e == nullptr) {
@@ -978,21 +746,16 @@ void AspectModerator::recompose_barrier() {
   // combiner (whose drain holds registry + shards) must be able to finish
   // while we spin for the token.
   flush_batch_requests();
-  // Wake every sleeping waiter: each observes the gen flip under its shard
-  // lock and falls out of its burst to recompose. Taking the shard lock
-  // orders the notify after any pre-sleep predicate check that missed the
-  // flip, so no waiter can sleep through the barrier.
+  // Transfer every parked call. Parked nodes hold no burst and no span,
+  // so the drain below never waits on them — but their pinned Moderation
+  // records are stale after this flip; the retries re-enter through the
+  // gate and recompose. The shard lock orders the transfer after any
+  // attempt that evaluated before the flip, so none parks through it.
   {
     std::shared_lock registry(registry_mu_);
     for (auto& [_, state] : methods_) {
       std::scoped_lock shard(state->mu);
-      state->cv.notify_all();
-      state->cv_any.notify_all();
-      // Parked async nodes hold no burst and no span, so the drain below
-      // never waits on them — but their pinned Moderation records are
-      // stale after this flip, so transfer them; the retries re-enter
-      // through the gate and recompose.
-      signal_async_under_lock(*state);
+      transfer_parked_under_lock(*state);
     }
   }
   // Drain: no old-parity burst may still be evaluating, and every old
@@ -1014,10 +777,21 @@ void AspectModerator::recompose_barrier() {
 
 // --- stall watchdog --------------------------------------------------------
 
-void AspectModerator::register_stall_record(
-    const std::shared_ptr<StallRecord>& rec) {
+std::shared_ptr<AspectModerator::StallRecord>
+AspectModerator::make_stall_record(const InvocationContext& ctx,
+                                   const CompiledChainData& cc,
+                                   MethodState& ms) {
+  auto rec = std::make_shared<StallRecord>();
+  rec->invocation_id = ctx.id();
+  rec->method = ctx.method();
+  rec->blocked_since = clock_->now();
+  rec->deadline = ctx.deadline();
+  rec->chain = join_chain_names(cc);
+  rec->blocked_by = std::string(ctx.note_view("blocked.by").value_or("?"));
+  rec->shard = &ms;
   std::scoped_lock lock(stalls_mu_);
   stalls_[rec->invocation_id] = rec;
+  return rec;
 }
 
 void AspectModerator::unregister_stall_record(std::uint64_t invocation_id) {
@@ -1065,14 +839,11 @@ std::size_t AspectModerator::scan_stalls() {
       }
     }
     if (watchdog_->abort_stalled) {
+      // The retry of the unparked node aborts with kDeadlineExceeded; a
+      // batch owner polls the flag itself.
       rec->evicted.store(true, std::memory_order_release);
-      // Shard lock orders the notify after the waiter's predicate check,
-      // exactly like shutdown(); the waiter aborts with
-      // kDeadlineExceeded.
       std::scoped_lock shard(rec->shard->mu);
-      rec->shard->cv.notify_all();
-      rec->shard->cv_any.notify_all();
-      evict_async_under_lock(*rec);
+      if (rec->parked != nullptr) unpark_under_lock(*rec->parked);
     }
   }
   return fresh;
@@ -1086,7 +857,14 @@ void AspectModerator::preactivation_async(ParkedCall& call) {
   if (call.persona == nullptr) {
     call.persona = &concurrency::Persona::current();
   }
-  log_event("preactivation", *call.ctx);
+  InvocationContext& ctx = *call.ctx;
+  log_event("preactivation", ctx);
+  // One lock-free attempt first, exactly like the synchronous entry.
+  Decision fast{};
+  if (try_fast_admission(ctx, call.arrived, &fast)) {
+    settle_async(call, fast);
+    return;
+  }
   async_attempt(call);
 }
 
@@ -1096,11 +874,23 @@ void AspectModerator::async_retry(concurrency::ProgressNode* node) {
   call->owner->async_attempt(*call);
 }
 
+void AspectModerator::StopHook::operator()() const noexcept {
+  // Runs on the requesting thread, or inline at registration when the stop
+  // already fired. The shard lock orders it against the call's attempts:
+  // a parked node is handed to its persona, whose retry settles
+  // kCancelled; an attempt in flight checks the token itself.
+  std::scoped_lock lk(call->shard->mu);
+  call->owner->unpark_under_lock(*call);
+}
+
 void AspectModerator::settle_async(ParkedCall& call, Decision verdict) {
   if (call.stall_rec) {
     unregister_stall_record(call.ctx->id());
     call.stall_rec.reset();
   }
+  // Before `settle` may destroy the frame: waits out a hook running on
+  // another thread (it finds the node unparked and does nothing).
+  call.stop_hook.reset();
   // Drop the parked-record pin outside every lock: releasing the last
   // reference may destroy a whole retired composition (aspect dtors run).
   call.mod.reset();
@@ -1109,48 +899,36 @@ void AspectModerator::settle_async(ParkedCall& call, Decision verdict) {
 
 void AspectModerator::async_attempt(ParkedCall& call) {
   InvocationContext& ctx = *call.ctx;
+  stamp_arrival(ctx);
 
-  // One lock-free attempt first, exactly like the synchronous entry.
-  {
-    Decision fast{};
-    if (try_fast_admission(ctx, call.arrived, &fast)) {
-      settle_async(call, fast);
-      return;
-    }
-  }
-
-  if (ctx.enqueued_at() == runtime::TimePoint{}) {
-    ctx.set_enqueued_at(now_fast());
-  }
-  if (ctx.arrival_seq() == 0) {
-    ctx.set_arrival_seq(
-        arrival_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
-
-  // The preactivation() epoch loop, with the cv sleep replaced by the park
-  // protocol. Each attempt (initial submit or signalled retry) is one
-  // burst; a PARKED node holds neither burst nor span — that is what makes
-  // it a cheap, sheddable queue entry the recomposition barrier can drain
-  // past (the barrier's wake loop transfers parked nodes, and their
-  // retries re-enter through the gate like any fresh arrival).
+  // Each attempt (initial submit or signalled retry) is one burst; a
+  // PARKED node holds neither burst, span nor lockers stake — that is what
+  // makes it a cheap, sheddable queue entry the recomposition barrier can
+  // drain past (the barrier transfers parked nodes, and their retries
+  // re-enter through the gate like any fresh arrival).
   for (;;) {
     const std::uint64_t burst_gen = enter_burst();
     const int parity = burst_parity(burst_gen);
     const std::shared_ptr<const Moderation> mod =
         cached_moderation(ctx.method());
-    const std::uint64_t epoch = mod->epoch;
     const CompiledChainData& cc = *mod->compiled;
     MethodState& ms = *mod->self;
+    if (call.shard == nullptr) {
+      call.shard = &ms;
+      // Outside every lock: a stop that already fired runs the hook here.
+      if (ctx.stop()) call.stop_hook.emplace(*ctx.stop(), StopHook{&call});
+    }
 
     enum class Att { kSettled, kParked, kRecompose };
     Decision verdict = Decision::kBlock;
 
-    // Runs with the WHOLE eval shard set locked; same ordering as the
-    // synchronous done_waiting predicate. Only the guard re-check after
-    // the sleepers_ raise needs repeating here: every other wake source
-    // (shutdown, eviction, barrier, locked completions) takes this shard's
-    // mutex to signal and therefore serializes with the park itself.
+    // Runs with the WHOLE eval shard set locked. Only the guard re-check
+    // after the sleepers_ raise needs care: every other wake source
+    // (shutdown, eviction, stop, barrier, locked completions) takes this
+    // shard's mutex to unpark, so it serializes with the park itself.
     auto attempt = [&]() -> Att {
+      // G1/G5: every refusal below runs on_cancel, so arrive first.
+      arrive_once(cc, ctx, call.arrived);
       if (shutdown_.load(std::memory_order_acquire)) {
         verdict = Decision::kAbort;
         ctx.set_abort_error(runtime::make_error(ErrorCode::kCancelled,
@@ -1162,131 +940,86 @@ void AspectModerator::async_attempt(ParkedCall& call) {
             ErrorCode::kDeadlineExceeded,
             "evicted by stall watchdog while blocked"));
       } else {
+        // A gen move means a recomposition barrier is (or was) draining
+        // this burst's side; fall out so the barrier can complete.
         if (gen_.load(std::memory_order_seq_cst) != burst_gen ||
-            bank_.version() != epoch) {
+            bank_.version() != mod->epoch) {
           return Att::kRecompose;
-        }
-        if (cc.any_arrive) {
-          for (const CompiledOp& op : cc.ops) {
-            if (std::find(call.arrived.begin(), call.arrived.end(),
-                          op.aspect) == call.arrived.end()) {
-              guarded_on_arrive(op, ctx);
-              call.arrived.push_back(op.aspect);
-            }
-          }
         }
         verdict = evaluate_chain_under_locks(cc, ctx);
       }
 
       if (verdict == Decision::kBlock) {
         ctx.note_blocked();
-        // Timed escapes. The synchronous wait primitives enforce these;
-        // the async path enforces them at submit and at every signalled
-        // retry, and the stall watchdog covers a parked call whose
-        // deadline passes with no further signal (eviction transfers the
-        // node; the retry aborts above with kDeadlineExceeded).
+        // Timed escapes, checked after this (re-)evaluation: a chain that
+        // passes at its deadline still admits (PROTOCOL §3.2). A waiter
+        // whose deadline or stop fires unparks its node to get here.
         if (ctx.deadline() && now_fast() >= *ctx.deadline()) {
-          guarded_on_cancel(cc, ctx);
+          verdict = Decision::kAbort;
           ctx.set_abort_error(runtime::make_error(
               ErrorCode::kTimeout, "deadline expired during preactivation"));
-          ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
-          log_event("timeout", ctx);
+        } else if (ctx.stop() && ctx.stop()->stop_requested()) {
           verdict = Decision::kAbort;
-          return Att::kSettled;
-        }
-        if (ctx.stop() && ctx.stop()->stop_requested()) {
-          guarded_on_cancel(cc, ctx);
           ctx.set_abort_error(runtime::make_error(
               ErrorCode::kCancelled, "stop requested while blocked"));
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-          log_event("cancelled", ctx);
-          verdict = Decision::kAbort;
-          return Att::kSettled;
-        }
-        if (!call.announced_block) {
-          call.announced_block = true;
-          ms.stats.block_events.fetch_add(1, std::memory_order_relaxed);
-          log_event("blocked", ctx);
-        }
-        // Raise the sleeper stake BEFORE the final guard re-check — the
-        // mirror of the synchronous path's fetch_add-then-wait: a fast
-        // completion that validates sleepers_ == 0 afterwards is ordered
-        // before this seq_cst RMW, so our re-check observes its effects;
-        // one that validated earlier defers to the locked slow path,
-        // which signals under this very mutex.
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        verdict = evaluate_chain_under_locks(cc, ctx);
-        if (verdict == Decision::kBlock) {
-          if (watchdog_) {
-            if (!call.stall_rec) {
-              call.stall_rec = std::make_shared<StallRecord>();
-              call.stall_rec->invocation_id = ctx.id();
-              call.stall_rec->method = ctx.method();
-              call.stall_rec->blocked_since = clock_->now();
-              call.stall_rec->deadline = ctx.deadline();
-              call.stall_rec->chain = join_chain_names(cc);
-              call.stall_rec->blocked_by =
-                  std::string(ctx.note_view("blocked.by").value_or("?"));
-              call.stall_rec->shard = &ms;
-              register_stall_record(call.stall_rec);
+        } else {
+          if (!call.announced_block) {
+            call.announced_block = true;
+            ms.stats.block_events.fetch_add(1, std::memory_order_relaxed);
+            log_event("blocked", ctx);
+          }
+          // Raise the sleeper stake BEFORE the final guard re-check: a
+          // fast completion that validates sleepers_ == 0 afterwards is
+          // ordered before this seq_cst RMW, so the re-check observes its
+          // effects; one that validated earlier defers to the locked slow
+          // path, which signals under this very mutex.
+          sleepers_.fetch_add(1, std::memory_order_seq_cst);
+          verdict = evaluate_chain_under_locks(cc, ctx);
+          if (verdict == Decision::kBlock) {
+            if (watchdog_) {
+              if (!call.stall_rec) {
+                call.stall_rec = make_stall_record(ctx, cc, ms);
+              }
+              call.stall_rec->parked = &call;
             }
-            call.stall_rec->async_node = &call;
+            // Pin the record: the parked node's `arrived` dedup compares
+            // aspect addresses at the next retry, so the chain (and its
+            // aspects) must stay alive while parked.
+            call.mod = mod;
+            call.plink = nullptr;
+            if (ms.park_tail != nullptr) {
+              ms.park_tail->plink = &call;
+            } else {
+              ms.park_head = &call;
+            }
+            ms.park_tail = &call;
+            call.state.store(ParkedCall::State::kParked,
+                             std::memory_order_release);
+            parked_.fetch_add(1, std::memory_order_relaxed);
+            // The node may be transferred (and retried on another persona)
+            // the moment the shard unlocks — it must not be touched again
+            // on this code path.
+            return Att::kParked;
           }
-          // Pin the record: the parked node's `arrived` dedup compares
-          // aspect addresses at the next retry, so the chain (and its
-          // aspects) must stay alive while parked.
-          call.mod = mod;
-          call.plink = nullptr;
-          if (ms.async_tail != nullptr) {
-            ms.async_tail->plink = &call;
-          } else {
-            ms.async_head = &call;
-          }
-          ms.async_tail = &call;
-          call.state.store(ParkedCall::State::kParked,
-                           std::memory_order_release);
-          async_parked_.fetch_add(1, std::memory_order_relaxed);
-          // The node may be transferred (and retried on another persona)
-          // the moment the shard unlocks — it must not be touched again
-          // on this code path.
-          return Att::kParked;
+          sleepers_.fetch_sub(1, std::memory_order_seq_cst);
         }
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
       }
 
       if (verdict == Decision::kAbort) {
-        guarded_on_cancel(cc, ctx);
-        if (!ctx.abort_error()) {
-          std::string by(
-              ctx.note_view("vetoed.by").value_or("unknown aspect"));
-          ctx.set_abort_error(
-              runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
-        }
-        if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-          log_event("cancelled", ctx);
-        } else {
-          ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
-          log_event("abort", ctx);
-        }
+        book_refusal(cc, ms, ctx);
         return Att::kSettled;
       }
-
-      // Admission: identical commit to the synchronous path (G4 pairing,
-      // span-as-stake, moderation hint for postactivation).
-      ctx.set_admitted_at(now_fast());
-      if (cc.any_entry || fault_ != nullptr) {
-        for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
-      }
-      if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
-      ctx.set_admitted_chain(mod->chain.get());
-      ctx.set_moderation_hint(mod.get());
-      open_span(ctx, parity);
-      ms.stats.admitted.fetch_add(1, std::memory_order_relaxed);
-      log_event("admitted", ctx);
+      spans_[static_cast<std::size_t>(parity)].fetch_add(
+          1, std::memory_order_seq_cst);
+      commit_admission(*mod, ctx, now_fast(), parity);
       return Att::kSettled;
     };
 
+    // Dekker handshake with the fast path: raise `lockers` on the whole
+    // shard set BEFORE locking, then drain open fast windows under the
+    // locks before any hook runs. Skipped entirely while no fast-capable
+    // aspect exists (dekker: loaded AFTER enter_burst, so the arming
+    // barrier's gen flip orders this section after the store).
     Att att;
     const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
     if (dekker) lockers_add(mod->eval_shards.data(), mod->eval_shards.size());
@@ -1307,50 +1040,40 @@ void AspectModerator::async_attempt(ParkedCall& call) {
     exit_burst(parity);
     if (att == Att::kRecompose) continue;
     if (att == Att::kParked) return;
+    // Safe point: no burst, no span. Admitted callers defer their drain
+    // to the end of postactivation.
     if (verdict == Decision::kAbort) drain_quarantine();
     settle_async(call, verdict);
     return;
   }
 }
 
-void AspectModerator::signal_async_under_lock(MethodState& s) {
-  ParkedCall* node = s.async_head;
-  if (node == nullptr) return;
-  s.async_head = nullptr;
-  s.async_tail = nullptr;
-  while (node != nullptr) {
-    ParkedCall* next = node->plink;
-    node->plink = nullptr;
-    if (node->stall_rec) node->stall_rec->async_node = nullptr;
-    node->state.store(ParkedCall::State::kSignaled,
-                      std::memory_order_release);
-    async_parked_.fetch_sub(1, std::memory_order_relaxed);
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    // After enqueue the persona's owner may run (and even destroy) the
-    // node immediately — nothing below may touch it.
-    node->persona->enqueue(node);
-    node = next;
+void AspectModerator::unpark_under_lock(ParkedCall& node) {
+  if (node.state.load(std::memory_order_relaxed) !=
+      ParkedCall::State::kParked) {
+    return;  // being evaluated, already transferred, or settled
   }
+  MethodState& s = *node.shard;
+  ParkedCall** link = &s.park_head;
+  ParkedCall* prev = nullptr;
+  while (*link != &node) {
+    prev = *link;
+    link = &prev->plink;
+  }
+  *link = node.plink;
+  if (s.park_tail == &node) s.park_tail = prev;
+  node.plink = nullptr;
+  if (node.stall_rec) node.stall_rec->parked = nullptr;
+  node.state.store(ParkedCall::State::kSignaled, std::memory_order_release);
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  // After enqueue the persona's owner may run (and even destroy) the node
+  // immediately — nothing below may touch it.
+  node.persona->enqueue(&node);
 }
 
-void AspectModerator::evict_async_under_lock(StallRecord& rec) {
-  ParkedCall* node = rec.async_node;
-  if (node == nullptr) return;  // sync waiter, or already transferred
-  rec.async_node = nullptr;
-  MethodState& s = *rec.shard;
-  ParkedCall** link = &s.async_head;
-  ParkedCall* prev = nullptr;
-  while (*link != node) {
-    prev = *link;
-    link = &(*link)->plink;
-  }
-  *link = node->plink;
-  if (s.async_tail == node) s.async_tail = prev;
-  node->plink = nullptr;
-  node->state.store(ParkedCall::State::kSignaled, std::memory_order_release);
-  async_parked_.fetch_sub(1, std::memory_order_relaxed);
-  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  node->persona->enqueue(node);
+void AspectModerator::transfer_parked_under_lock(MethodState& s) {
+  while (s.park_head != nullptr) unpark_under_lock(*s.park_head);
 }
 
 // ---------------------------------------------------------------------------
@@ -1470,8 +1193,8 @@ AspectModerator::moderation_for(runtime::MethodId method) {
   // Batch eligibility (DESIGN.md §14): grouped no-plan methods whose
   // completion broadcast is the all-shards set — exactly the records for
   // which ONE moderator-wide combiner covers every coupled guard. Wake
-  // targets keep the classic channel (their plans promise a directed
-  // notify) and single-shard moderators keep the cheaper native-cv wait.
+  // targets keep the shard park list (their plans promise a directed
+  // signal) and single-shard moderators have nothing to combine.
   mod->batch_eligible =
       !mod->has_plan && !wake_target && mod->completion_shards.size() > 1;
   moderation_cache_[method] = mod;
@@ -1614,15 +1337,7 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
     ctx.set_enqueued_at(now_fast());
   }
 
-  if (cc.any_arrive) {
-    for (const CompiledOp& op : cc.ops) {
-      if (std::find(arrived.begin(), arrived.end(), op.aspect) ==
-          arrived.end()) {
-        guarded_on_arrive(op, ctx);
-        arrived.push_back(op.aspect);
-      }
-    }
-  }
+  arrive_once(cc, ctx, arrived);
   const Decision verdict = evaluate_chain_under_locks(cc, ctx);
   if (verdict == Decision::kBlock) {
     // Non-blocking classifies the chain's NORMAL operation; a guard may
@@ -1633,19 +1348,7 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
     return false;
   }
   if (verdict == Decision::kAbort) {
-    guarded_on_cancel(cc, ctx);
-    if (!ctx.abort_error()) {
-      std::string by(ctx.note_view("vetoed.by").value_or("unknown aspect"));
-      ctx.set_abort_error(
-          runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
-    }
-    if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-      self->stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-      log_event("cancelled", ctx);
-    } else {
-      self->stats.aborted.fetch_add(1, std::memory_order_relaxed);
-      log_event("abort", ctx);
-    }
+    book_refusal(cc, *self, ctx);
     if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
     undo_span();
     drain_quarantine();
@@ -1656,17 +1359,8 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
   // Admission. The fast path never waited, so admitted_at == enqueued_at
   // by construction (and one clock read is saved). The provisional spans_
   // increment becomes the invocation's span without another RMW.
-  ctx.set_admitted_at(ctx.enqueued_at());
-  if (cc.any_entry || fault_ != nullptr) {
-    for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
-  }
-  if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
-  ctx.set_admitted_chain(mod->chain.get());
-  ctx.set_moderation_hint(mod.get());
-  adopt_span(ctx, parity);
-  self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
   fast_admissions_.fetch_add(1, std::memory_order_relaxed);
-  log_event("admitted", ctx);
+  commit_admission(*mod, ctx, ctx.enqueued_at(), parity);
   if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
   *decision = Decision::kResume;
   return true;
@@ -1677,7 +1371,7 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   MethodState* self = mod.self;
   const CompiledChainData& cc = *mod.compiled;
   // Same hook-free shortcut as admission. The sleepers_ checks stay
-  // UNCONDITIONAL: the no-notify argument below needs them even for empty
+  // UNCONDITIONAL: the no-signal argument below needs them even for empty
   // chains (skipping the broadcast is about waiters, not hooks).
   const bool hooked = !cc.ops.empty();
   if (hooked && self->lockers.load(std::memory_order_seq_cst) != 0) {
@@ -1716,18 +1410,12 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   fast_completions_.fetch_add(1, std::memory_order_relaxed);
   log_event("postactivation", ctx);
   sample_latency(ctx);
-  // No notify — justified on two axes, both validated inside the window:
-  //  * lockers == 0: no slow section (including a sleeping waiter, which
-  //    keeps its whole shard set elevated across the cv sleep) holds this
-  //    shard. By the capability contract plus lock-group symmetry, every
-  //    guard these postactions could enable belongs to a method whose
-  //    eval set includes this shard, so no COUPLED waiter exists.
-  //  * sleepers_ == 0: the no-plan default is a broadcast to ALL methods
-  //    (waiters may depend on state outside any aspect hook), so we also
-  //    require that no thread anywhere in the moderator is blocked. A
-  //    waiter registering after our check re-evaluates its guards inside
-  //    the cv wait, past the full fence of its seq_cst increment.
-  // Either way, nobody needs the wakeup.
+  // No signal: sleepers_ == 0 was validated inside the window, so no call
+  // is parked anywhere in the moderator (the no-plan default is a
+  // broadcast to ALL methods, whose guards may read state outside any
+  // aspect hook). A call parking after our check re-evaluates its guards
+  // past the full fence of its seq_cst increment, so it sees our
+  // postactions. Nobody needs the wakeup.
   if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
   close_span(ctx);
   drain_quarantine();
@@ -1804,17 +1492,7 @@ void AspectModerator::park_batch_node(BatchRequest& n,
   // combiner builds it because the owner must not touch ctx notes while
   // the node is shared.
   if (watchdog_) {
-    auto rec = std::make_shared<StallRecord>();
-    rec->invocation_id = n.ctx->id();
-    rec->method = n.ctx->method();
-    rec->blocked_since = clock_->now();
-    rec->deadline = n.ctx->deadline();
-    rec->chain = join_chain_names(*n.mod->compiled);
-    rec->blocked_by =
-        std::string(n.ctx->note_view("blocked.by").value_or("?"));
-    rec->shard = n.mod->self;
-    n.stall_rec = rec;
-    register_stall_record(rec);
+    n.stall_rec = make_stall_record(*n.ctx, *n.mod->compiled, *n.mod->self);
   }
   bool parked;
   {
@@ -1850,13 +1528,16 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
 
   // The world moved under this node — shutdown, a recomposition flip past
   // its burst registration, or a new composition epoch. Hand it back: the
-  // owner re-resolves (or aborts through the classic path on shutdown).
+  // owner re-resolves (or aborts through the park path on shutdown).
   if (shutdown_.load(std::memory_order_acquire) ||
       gen_.load(std::memory_order_seq_cst) != n.burst_gen ||
       bank_.version() != n.mod->epoch) {
     settle_batch_node(n, observed, State::kRetry);
     return false;
   }
+
+  // G1/G5: the shed below runs on_cancel, so arrive first.
+  arrive_once(cc, ctx, *n.arrived);
 
   // Overload shedding (§12) of queued-but-expired entries: spend no guard
   // evaluation on a call whose deadline already passed while it waited.
@@ -1867,23 +1548,11 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
       detach_batch_node(n);  // owner claimed concurrently
       return false;
     }
-    guarded_on_cancel(cc, ctx);
     ctx.set_abort_error(runtime::make_error(
         ErrorCode::kTimeout, "deadline expired during preactivation"));
-    n.mod->self->stats.timed_out.fetch_add(1, std::memory_order_relaxed);
-    log_event("timeout", ctx);
+    book_refusal(cc, *n.mod->self, ctx);
     finish_batch_node(n, State::kAborted);
     return true;  // the cancel may have released guard state
-  }
-
-  if (cc.any_arrive) {
-    for (const CompiledOp& op : cc.ops) {
-      if (std::find(n.arrived->begin(), n.arrived->end(), op.aspect) ==
-          n.arrived->end()) {
-        guarded_on_arrive(op, ctx);
-        n.arrived->push_back(op.aspect);
-      }
-    }
   }
 
   const Decision verdict = evaluate_chain_under_locks(cc, ctx);
@@ -1901,20 +1570,7 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
   }
 
   if (verdict == Decision::kAbort) {
-    guarded_on_cancel(cc, ctx);
-    if (!ctx.abort_error()) {
-      std::string by(ctx.note_view("vetoed.by").value_or("unknown aspect"));
-      ctx.set_abort_error(
-          runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
-    }
-    MethodState& ms = *n.mod->self;
-    if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-      ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-      log_event("cancelled", ctx);
-    } else {
-      ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
-      log_event("abort", ctx);
-    }
+    book_refusal(cc, *n.mod->self, ctx);
     finish_batch_node(n, State::kAborted);
     return true;
   }
@@ -1980,7 +1636,7 @@ void AspectModerator::drain_batch_under_locks() {
 void AspectModerator::combiner_drain(const Moderation& mod) {
   // Token held. Resolve the all-shards set through `mod`; when the record
   // no longer matches the live composition or shard map, flush the whole
-  // batch — every owner re-resolves and comes back (or takes the classic
+  // batch — every owner re-resolves and comes back (or takes the park
   // path under shutdown).
   std::shared_lock registry(registry_mu_);
   if (mod.shard_rev != shard_rev_.load(std::memory_order_relaxed) ||
@@ -2115,7 +1771,7 @@ void AspectModerator::cancel_claimed_node(BatchRequest& n) {
   InvocationContext& ctx = *n.ctx;
   const CompiledChainData& cc = *n.mod->compiled;
   // on_cancel runs under the CURRENT completion shard set, mirroring the
-  // classic timeout path (which holds its eval set across the cancel):
+  // park path's timeout (which holds its eval set across the cancel):
   // re-resolve until the record matches the live shard map.
   for (;;) {
     const std::shared_ptr<const Moderation> cur =
@@ -2132,6 +1788,8 @@ void AspectModerator::cancel_claimed_node(BatchRequest& n) {
     {
       LockSet locks(shards, count);
       if (dekker) drain_fast_windows(shards, count);
+      // A request claimed before any combiner reached it never arrived.
+      arrive_once(cc, ctx, *n.arrived);
       guarded_on_cancel(cc, ctx);
       // The cancel may have released guard state (a queue slot, a pending
       // writer count): re-drive parked admissions while the locks are
@@ -2209,8 +1867,8 @@ AspectModerator::Outcome AspectModerator::batch_moderate(
   const bool steady_deadline =
       has_deadline && clock_->is_steady_compatible();
   // Manual clocks poll (a simulated advance can't notify this cv), and so
-  // do eviction-armed watchdogs: scan_stalls notifies SHARD cvs, which
-  // batch owners don't sleep on.
+  // do eviction-armed watchdogs: scan_stalls unparks SHARD lists, which
+  // batch owners are never on.
   const bool poll = (has_deadline && !steady_deadline) ||
                     (watchdog_ && watchdog_->abort_stalled);
 
@@ -2319,6 +1977,76 @@ AspectModerator::Outcome AspectModerator::batch_moderate(
         continue;  // unreachable: claims return via claimed_abort above
     }
   }
+}
+
+void AspectModerator::arrive_once(const CompiledChainData& cc,
+                                  InvocationContext& ctx,
+                                  ArrivedVec& arrived) {
+  if (!cc.any_arrive) return;
+  for (const CompiledOp& op : cc.ops) {
+    if (std::find(arrived.begin(), arrived.end(), op.aspect) ==
+        arrived.end()) {
+      guarded_on_arrive(op, ctx);
+      arrived.push_back(op.aspect);
+    }
+  }
+}
+
+void AspectModerator::stamp_arrival(InvocationContext& ctx) {
+  if (ctx.enqueued_at() == runtime::TimePoint{}) {
+    ctx.set_enqueued_at(now_fast());
+  }
+  if (ctx.arrival_seq() == 0) {
+    ctx.set_arrival_seq(
+        arrival_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
+  }
+}
+
+void AspectModerator::book_refusal(const CompiledChainData& cc,
+                                   MethodState& ms, InvocationContext& ctx) {
+  guarded_on_cancel(cc, ctx);
+  if (!ctx.abort_error()) {
+    std::string by(ctx.note_view("vetoed.by").value_or("unknown aspect"));
+    ctx.set_abort_error(
+        runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
+  }
+  switch (ctx.abort_error()->code) {
+    case ErrorCode::kTimeout:
+      ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
+      log_event("timeout", ctx);
+      break;
+    case ErrorCode::kCancelled:
+      // Stop, shutdown or a cancellation-flavored veto — not a concern's
+      // own decision.
+      ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+      log_event("cancelled", ctx);
+      break;
+    default:
+      ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
+      log_event("abort", ctx);
+  }
+}
+
+void AspectModerator::commit_admission(const Moderation& mod,
+                                       InvocationContext& ctx,
+                                       runtime::TimePoint admitted_at,
+                                       int parity) {
+  // Entries commit every aspect's state atomically with the guards — the
+  // held shard set is exactly the set of methods whose guards can observe
+  // them (repair D2 under sharding). admitted_at is stamped first so
+  // entry() hooks (e.g. timing) can read it. Entry throws are contained:
+  // the admission stands, so entry and postaction stay paired.
+  const CompiledChainData& cc = *mod.compiled;
+  ctx.set_admitted_at(admitted_at);
+  if (cc.any_entry || fault_ != nullptr) {
+    for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
+  }
+  if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
+  ctx.set_admitted_chain(mod.chain.get());
+  ctx.set_moderation_hint(&mod);
+  adopt_span(ctx, parity);
+  mod.self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
+  log_event("admitted", ctx);
 }
 
 Decision AspectModerator::evaluate_chain_under_locks(

@@ -9,7 +9,7 @@
 //     waiters whose guards may now pass.
 //
 // Locking model (sharded; see DESIGN.md §3 D2 and §9). Every method has its
-// own mutex + condition variable. A chain evaluation (guards + entry
+// own mutex and parked-call list. A chain evaluation (guards + entry
 // commits) holds, in one ordered acquisition, the locks of exactly the
 // methods whose chains share an aspect OBJECT with the invoked method (the
 // bank's lock group) — so an exclusion group stays atomic (repair D2) while
@@ -27,7 +27,7 @@
 // all, under seqlock-style validation against the composition epoch, the
 // plan revision, the recomposition-barrier generation and a per-shard
 // Dekker handshake with locked sections. Any validation failure — or a
-// kBlock verdict — falls back to the slow path, so blocking semantics,
+// kBlock verdict — falls back to the slow path, so parking semantics,
 // G4 pairing, quarantine safe points and the barrier are untouched.
 #pragma once
 
@@ -39,6 +39,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -46,6 +47,7 @@
 
 #include "concurrency/completion.hpp"
 #include "concurrency/intru_queue.hpp"
+#include "concurrency/progress.hpp"
 #include "core/bank.hpp"
 #include "core/context.hpp"
 #include "core/decision.hpp"
@@ -64,7 +66,7 @@ struct MethodStats {
   std::uint64_t aborted = 0;     // guard vetoes
   std::uint64_t timed_out = 0;   // deadline expiries while blocked
   std::uint64_t cancelled = 0;   // stop-token cancellations while blocked
-  std::uint64_t block_events = 0;  // times some caller went to sleep
+  std::uint64_t block_events = 0;  // admissions that blocked at least once
 };
 
 /// Stall-watchdog configuration (DESIGN.md §10). The watchdog reads the
@@ -74,7 +76,7 @@ struct MethodStats {
 struct WatchdogOptions {
   /// Slack past a waiter's deadline before it counts as stalled — waiters
   /// normally time themselves out; the watchdog catches the ones that
-  /// can't (wedged cv, pathological wake storms, lost notify).
+  /// can't (pathological wake storms, lost signals, silent methods).
   runtime::Duration grace{std::chrono::milliseconds(50)};
   /// Stall bound for waiters WITHOUT a deadline (0 = such waiters may
   /// block forever, which is legitimate for pure producer/consumer guards).
@@ -222,21 +224,23 @@ class AspectModerator {
   /// and submit via preactivation_async().
   struct ParkedCall;
 
-  /// Asynchronous pre-activation: never sleeps. Runs the same guard loop
-  /// as preactivation(); a kBlock verdict PARKS `call` on the method's
-  /// wait channel instead of sleeping on its condition variable. The armed
-  /// `call.settle` callback fires exactly once with the final verdict —
-  /// inline (from inside this call) when the verdict is immediate, or from
-  /// `call.persona`'s progress() drain after a completing writer's
-  /// postactivation transferred the parked node. On kResume the owner must
-  /// run the body and then postactivation() with the same context, exactly
-  /// as after a synchronous admission; on kAbort ctx->abort_error() says
-  /// why and postactivation must not run.
+  /// Asynchronous pre-activation: never sleeps. Runs the same admission
+  /// attempt as preactivation(); a kBlock verdict PARKS `call` on the
+  /// method's parked list and returns, where preactivation() would wait
+  /// for the node to settle. The armed `call.settle` callback fires
+  /// exactly once with the final verdict — inline (from inside this call)
+  /// when the verdict is immediate, or from `call.persona`'s progress()
+  /// drain after a completing writer's postactivation (or a stop request
+  /// on ctx->stop()) transferred the parked node. On kResume the owner
+  /// must run the body and then postactivation() with the same context,
+  /// exactly as after a synchronous admission; on kAbort
+  /// ctx->abort_error() says why and postactivation must not run.
   void preactivation_async(ParkedCall& call);
 
-  /// Async calls currently parked on wait channels (racy; diagnostics).
+  /// Calls currently parked on shard lists — async frames and blocked
+  /// synchronous callers alike (racy; diagnostics).
   std::int64_t async_parked() const {
-    return async_parked_.load(std::memory_order_relaxed);
+    return parked_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -265,33 +269,23 @@ class AspectModerator {
     explicit MethodState(runtime::MethodId m) : id(m) {}
     const runtime::MethodId id;
     std::mutex mu;
-    // Two wait channels with one notify protocol (signal both, guarded by
-    // `waiters`): the native cv serves the common wait — single-shard lock
-    // group, no stop token — at pthread cost; cv_any serves group waits
-    // (it releases a whole LockSet) and stop-token waits (only
-    // condition_variable_any has the std::stop_token overloads).
-    std::condition_variable cv;
-    std::condition_variable_any cv_any;
-    StatsCells stats;               // relaxed atomics (see StatsCells)
-    std::uint64_t waiters = 0;      // guarded by mu; all blocked callers
-    std::uint64_t waiters_any = 0;  // guarded by mu; the cv_any subset
-    // Asynchronously parked calls of this shard (DESIGN.md §18): a
+    StatsCells stats;  // relaxed atomics (see StatsCells)
+    // Blocked calls of this shard, sync and async (DESIGN.md §18): a
     // singly-linked FIFO of ParkedCall nodes, guarded by mu. Every signal
-    // site that notifies the cvs also transfers this whole list to the
-    // nodes' personas — the async half of the notify protocol.
-    ParkedCall* async_head = nullptr;
-    ParkedCall* async_tail = nullptr;
+    // site transfers this whole list to the nodes' personas.
+    ParkedCall* park_head = nullptr;
+    ParkedCall* park_tail = nullptr;
     // Dekker-style handshake with the optimistic fast path (DESIGN.md
     // §11). `lockers` counts slow moderation sections whose LOCKED shard
     // set includes this shard: incremented before the mutexes are taken,
-    // held elevated across cv sleeps, decremented only after the final
-    // unlock — so "some slow section (or sleeping waiter) covers this
-    // shard" is visible without its mutex. `fast_windows` counts open
-    // lock-free hook windows on this shard. Fast opens a window then
-    // checks lockers == 0; slow raises lockers then (under the locks)
-    // spins until fast_windows == 0. Both sides seq_cst: the total order
-    // guarantees at least one side observes the other, so lock-free hooks
-    // never overlap a locked section that covers the same shard.
+    // decremented only after the final unlock — so "some slow section
+    // covers this shard" is visible without its mutex. `fast_windows`
+    // counts open lock-free hook windows on this shard. Fast opens a
+    // window then checks lockers == 0; slow raises lockers then (under
+    // the locks) spins until fast_windows == 0. Both sides seq_cst: the
+    // total order guarantees at least one side observes the other, so
+    // lock-free hooks never overlap a locked section that covers the same
+    // shard.
     std::atomic<std::int64_t> lockers{0};
     std::atomic<std::int64_t> fast_windows{0};
   };
@@ -337,10 +331,7 @@ class AspectModerator {
 
   /// Ordered multi-lock over a caller-owned span of method shards: locks
   /// ascending by MethodId (the caller sorts), unlocks in reverse.
-  /// Satisfies BasicLockable so a waiter can hand it to
-  /// condition_variable_any — the wait releases the WHOLE group while
-  /// sleeping and reacquires it (in order) on wake. Non-owning: the span
-  /// must outlive the LockSet.
+  /// Non-owning: the span must outlive the LockSet.
   class LockSet {
    public:
     LockSet(MethodState* const* states, std::size_t n)
@@ -396,8 +387,8 @@ class AspectModerator {
     // Batch-moderation eligibility (DESIGN.md §14): a grouped no-plan
     // method that is not a wake target. Its slow admissions enqueue on the
     // combiner instead of taking the shard set per call; wake targets keep
-    // the classic cv channel (a plan promises them a directed notify) and
-    // single-shard moderators keep the cheaper native-cv wait.
+    // the shard park list (a plan promises them a directed signal) and
+    // single-shard moderators have nothing to combine.
     bool batch_eligible = false;
   };
 
@@ -424,14 +415,33 @@ class AspectModerator {
   Decision evaluate_chain_under_locks(const CompiledChainData& cc,
                                       InvocationContext& ctx);
 
-  // --- optimistic fast path (DESIGN.md §11) -----------------------------
-
   using ArrivedVec = SmallVec<const Aspect*, 8>;
+
+  // Fires on_arrive for every op of `cc` not yet in `arrived` (dedup by
+  // aspect address, so aspects new to a recomposed chain get a retroactive
+  // arrival exactly once). Same locking requirement as evaluation.
+  void arrive_once(const CompiledChainData& cc, InvocationContext& ctx,
+                   ArrivedVec& arrived);
+  // Stamps enqueued_at and draws an arrival_seq, each only if still unset.
+  void stamp_arrival(InvocationContext& ctx);
+  // Books a refused admission: on_cancel for the chain, a kAborted "vetoed
+  // by" error unless one is already set, then stats + terminal event by
+  // error code (kTimeout → timeout, kCancelled → cancelled, else abort).
+  void book_refusal(const CompiledChainData& cc, MethodState& ms,
+                    InvocationContext& ctx);
+  // The commit of every non-batch admission, under the evaluating locks (or
+  // a validated fast window): entry hooks, admitted chain, moderation hint,
+  // the thread-local half of the span (the caller already counted spans_),
+  // stats and the `admitted` event.
+  void commit_admission(const Moderation& mod, InvocationContext& ctx,
+                        runtime::TimePoint admitted_at, int parity);
+
+  // --- optimistic fast path (DESIGN.md §11) -----------------------------
 
   // One lock-free admission attempt. Returns true when it fully handled
   // the invocation (*decision is kResume or kAbort); false means "take
   // the locked slow path" (not eligible, validation failed, or a guard
-  // said kBlock — the slow path sleeps and wakes correctly). on_arrive
+  // said kBlock — the slow path parks and wakes correctly). on_arrive
   // hooks that already fired are recorded in `arrived` either way.
   bool try_fast_admission(InvocationContext& ctx, ArrivedVec& arrived,
                           Decision* decision);
@@ -440,10 +450,8 @@ class AspectModerator {
   // fast-eligible record `mod`. Runs the admitted compiled chain's
   // postactions with no mutex, NO burst registration (the span opened at
   // admission already stakes the recomposition barrier — a drain of our
-  // parity cannot complete under us) and NO notify: validated lockers == 0
-  // means no sleeping waiter anywhere holds this shard in its locked set,
-  // and the nonblocking capability contract (bank-visible coupling only)
-  // makes that set cover every guard these postactions could enable.
+  // parity cannot complete under us) and NO signal: validated
+  // sleepers_ == 0 means no call is parked anywhere in the moderator.
   bool try_fast_completion(const Moderation& mod, InvocationContext& ctx);
 
   // Thread-local Moderation lookup for the fast path: avoids the shared
@@ -476,7 +484,7 @@ class AspectModerator {
   // all-shards set, so one queue covers every batch-eligible group). The
   // first thread to win the combiner token drains the queue and runs the
   // guard chains for the whole batch under ONE shard-set acquisition;
-  // everyone else parks on its own request's cv slot and is completed by
+  // everyone else sleeps on its own request's cv slot and is completed by
   // the leader. The token holder counts as a locked section for the §11
   // Dekker handshake (it raises `lockers` on every shard it drains under).
 
@@ -637,26 +645,25 @@ class AspectModerator {
   //
   // Two-parity draining. gen_ even = gate open; odd = a barrier is
   // draining the OLD parity. A "burst" is one lock-holding moderation
-  // section (one preactivation epoch-iteration, incl. its cv sleeps, or
-  // one postactivation); a "span" runs from admission to the end of
-  // postactivation (covers the body). The barrier — run after every bank
-  // mutation — closes the gate, wakes all sleeping waiters (they observe
-  // the gen flip and recompose), waits until old-parity bursts and spans
-  // drain, then reopens. Threads holding an open span of THIS moderator
-  // bypass the closed gate (nested moderated calls, postactivation, and
+  // section (one admission attempt, or one postactivation); a "span" runs
+  // from admission to the end of postactivation (covers the body). The
+  // barrier — run after every bank mutation — closes the gate, transfers
+  // every parked call (its retry re-enters through the gate and
+  // recomposes), waits until old-parity bursts and spans drain, then
+  // reopens. Threads holding an open span of THIS moderator bypass the
+  // closed gate (nested moderated calls, postactivation, and
   // the self-mutation case where the barrier-running thread is inside its
   // own span — its spans are exempted via a thread-local count).
 
   // Registers a burst and returns the gen it was registered under (its
-  // parity derives from it; a later gen change tells sleeping waiters to
+  // parity derives from it; a later gen change tells an attempt to
   // recompose). Blocks at the gate while a barrier is draining unless this
   // thread holds an open span.
   std::uint64_t enter_burst();
   void exit_burst(int parity);
   // Span bookkeeping; parity is stowed in the context at admission.
-  void open_span(InvocationContext& ctx, int parity);
-  // Thread-local half of open_span only: adopts a spans_ increment the
-  // caller already performed (fast admission registers the span
+  // adopt_span is the thread-local half only: it adopts a spans_ increment
+  // the caller already performed (fast admission registers the span
   // provisionally as its barrier stake before validating).
   void adopt_span(InvocationContext& ctx, int parity);
   void close_span(InvocationContext& ctx);
@@ -678,27 +685,38 @@ class AspectModerator {
     std::string chain;       // "a < b < c" at block time
     std::string blocked_by;  // guard that refused, at block time
     MethodState* shard = nullptr;
-    // The parked ASYNC call this record watches (DESIGN.md §18), or null
-    // for a synchronous cv waiter. Guarded by shard->mu — set at park,
-    // cleared at transfer — so an eviction that still observes it non-null
-    // owns a live node linked on this shard's parked list.
-    ParkedCall* async_node = nullptr;
+    // The parked call this record watches while it is on shard's list
+    // (null for a batch request, which polls `evicted` itself). Guarded by
+    // shard->mu — set at park, cleared at transfer — so an eviction that
+    // still observes it non-null owns a live node linked on that list.
+    ParkedCall* parked = nullptr;
     // Set by the watchdog; the waiter aborts with kDeadlineExceeded.
     std::atomic<bool> evicted{false};
     // Guards against double-reporting one stalled episode.
     std::atomic<bool> reported{false};
   };
 
-  void register_stall_record(const std::shared_ptr<StallRecord>& rec);
+  // Builds and registers the record of a call that just blocked on `ms`.
+  std::shared_ptr<StallRecord> make_stall_record(const InvocationContext& ctx,
+                                                 const CompiledChainData& cc,
+                                                 MethodState& ms);
   void unregister_stall_record(std::uint64_t invocation_id);
 
-  // --- asynchronous moderation (DESIGN.md §18) --------------------------
+  // --- parked calls (DESIGN.md §18) --------------------------------------
+
+  // A ParkedCall's std::stop_callback: hands the node to its persona if it
+  // is parked, so the retry settles kCancelled with no other signal.
+  struct StopHook {
+    ParkedCall* call;
+    void operator()() const noexcept;
+  };
 
  public:
-  /// One asynchronous admission, embedded in its caller's frame (stack or
-  /// slab) — the async analogue of a blocked thread, at a couple of cache
-  /// lines instead of a stack. The caller sets `ctx`, optionally `persona`
-  /// (defaults to the submitting thread's), arms `settle`, and hands the
+  /// One admission that may block, embedded in its caller's frame (stack
+  /// or slab) — at a couple of cache lines instead of a thread. Every
+  /// blocked call is one: preactivation() keeps one on its stack and waits
+  /// for it to settle; async callers set `ctx`, optionally `persona`
+  /// (defaults to the submitting thread's), arm `settle`, and hand the
   /// node to preactivation_async(). The node, the context and the settle
   /// captures must outlive the settle fire, and every submitted call must
   /// settle before the moderator dies: shutdown() transfers all parked
@@ -727,34 +745,41 @@ class AspectModerator {
     std::atomic<State> state{State::kIdle};
     ParkedCall* plink = nullptr;  // shard parked-list link (guarded by mu)
     AspectModerator* owner = nullptr;
+    // The method's shard, the only list this node ever parks on. Written
+    // once, before the first park and before stop_hook exists.
+    MethodState* shard = nullptr;
     std::shared_ptr<const Moderation> mod;  // pins the parked-under record
     ArrivedVec arrived;  // on_arrive exactly-once dedup, across epochs
     std::shared_ptr<StallRecord> stall_rec;
+    // Registered before the first locked attempt when ctx->stop() is set;
+    // destroyed (waiting out a running hook) before `settle` fires.
+    std::optional<std::stop_callback<StopHook>> stop_hook;
     bool announced_block = false;  // one block_event per admission
   };
 
  private:
-  // One full admission attempt for `call`: the preactivation() epoch loop
-  // minus the sleep — a kBlock verdict parks the node instead. Runs on
-  // the submitting thread (first attempt) or on the thread draining the
-  // call's persona (retries).
+  // The locked admission loop for `call` (the §11 fast attempt is the
+  // caller's): each attempt is one burst under the eval shard locks, and
+  // a kBlock verdict parks the node. Runs on the submitting thread (first
+  // attempt) or on the thread draining the call's persona (retries).
   void async_attempt(ParkedCall& call);
   // ProgressNode::fire of a transferred node: re-runs async_attempt.
   static void async_retry(concurrency::ProgressNode* node);
-  // Terminal: unregisters the watchdog record, drops the parked-record
-  // pin and fires `settle`. Call with no shard lock held.
+  // Terminal: unregisters the watchdog record, destroys the stop hook,
+  // drops the parked-record pin and fires `settle`. No shard lock held.
   void settle_async(ParkedCall& call, Decision verdict);
-  // Shard mutex held: transfers every parked node of `s` to its persona's
-  // ready queue (the async half of the cv notify protocol). Once a node
-  // is transferred it is already scheduled to re-evaluate, so later
-  // signals it "misses" are harmless.
-  void signal_async_under_lock(MethodState& s);
-  // Shard mutex held: transfers just the (still parked) node `rec`
-  // watches — the watchdog eviction path.
-  void evict_async_under_lock(StallRecord& rec);
+  // node.shard->mu held: if `node` is still parked, unlinks it and hands it
+  // to its persona's ready queue, where its retry re-evaluates. The one
+  // unpark routine: signals, watchdog eviction, stop hooks and a sync
+  // waiter's own deadline all go through it.
+  void unpark_under_lock(ParkedCall& node);
+  // s.mu held: unparks every node on `s`'s list. Once a node is
+  // transferred it is already scheduled to re-evaluate, so later signals
+  // it "misses" are harmless.
+  void transfer_parked_under_lock(MethodState& s);
 
-  // Async calls currently parked on shard lists (see async_parked()).
-  std::atomic<std::int64_t> async_parked_{0};
+  // Calls currently parked on shard lists (see async_parked()).
+  std::atomic<std::int64_t> parked_{0};
 
   AspectBank bank_;
   const runtime::Clock* clock_;
@@ -838,14 +863,12 @@ class AspectModerator {
   // Fast-path introspection (relaxed; see fast_admissions()).
   std::atomic<std::uint64_t> fast_admissions_{0};
   std::atomic<std::uint64_t> fast_completions_{0};
-  // Number of threads currently inside a blocked-wait section anywhere in
-  // this moderator (raised before the cv wait loop's first predicate
-  // re-check, lowered on wake). The no-plan completion contract is a
-  // broadcast to EVERY method; the per-shard `lockers` handshake only
-  // proves quiescence for waiters COUPLED to the completer's shard. A fast
-  // completion therefore also validates sleepers_ == 0 (seq_cst) and
-  // defers to the locked, broadcasting slow path whenever any thread in
-  // the process is blocked — even on an unrelated shard.
+  // Calls currently blocked anywhere in this moderator: parked nodes
+  // (raised before the parking attempt's final guard re-check, lowered at
+  // transfer) plus sleeping batch owners. The no-plan completion contract
+  // is a broadcast to EVERY method, so a fast completion validates
+  // sleepers_ == 0 (seq_cst) and defers to the locked, signalling slow
+  // path whenever any call is blocked — even on an unrelated shard.
   std::atomic<std::int64_t> sleepers_{0};
   // Batch-moderation combiner (DESIGN.md §14). One per moderator: every
   // batch-eligible record's completion set is the all-shards set (G6), so

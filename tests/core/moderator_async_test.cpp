@@ -6,7 +6,8 @@
 //     completion's postactivation hands the call back to the initiating
 //     persona, whose progress() re-runs the normal admission;
 //   * refusal semantics (deadline, stop token, shutdown, watchdog
-//     eviction) match the synchronous path, structured error included;
+//     eviction) match the synchronous path, structured error included,
+//     and a stop request alone reaches a parked call;
 //   * G4 exactly-once entry/postaction pairing holds on the async path.
 #include <gtest/gtest.h>
 
@@ -225,6 +226,35 @@ TEST(ModeratorAsyncTest, StopTokenCancelsParkedCall) {
   EXPECT_EQ(future.value().status, InvocationStatus::kCancelled);
   EXPECT_EQ(future.value().error.code, ErrorCode::kCancelled);
   EXPECT_EQ(proxy.moderator().stats(m).cancelled, 1u);
+}
+
+TEST(ModeratorAsyncTest, StopRequestAloneSettlesParkedCall) {
+  // PROTOCOL §8: a stop token is the caller's escape from a silent method.
+  // request_stop() by itself — no completion, no watchdog scan — must hand
+  // the parked call back, so the next progress() settles it kCancelled.
+  Proxy proxy{Service{}};
+  const auto m = MethodId::of("async-stop-alone");
+  Gate gate;  // never opened, and nothing else ever completes
+  proxy.moderator().register_aspect(m, AspectKind::of("a11"), gate.aspect());
+
+  std::stop_source source;
+  Call call(proxy, m, WorkBody{});
+  call.context().set_stop(source.get_token());
+  auto future = call.future();
+  call.start();
+  ASSERT_FALSE(future.ready());
+  EXPECT_EQ(proxy.moderator().async_parked(), 1);
+
+  source.request_stop();
+  EXPECT_EQ(proxy.moderator().async_parked(), 0)
+      << "the stop request unparks the call";
+  concurrency::progress();
+  ASSERT_TRUE(future.ready());
+  EXPECT_EQ(future.value().status, InvocationStatus::kCancelled);
+  EXPECT_EQ(future.value().error.code, ErrorCode::kCancelled);
+  EXPECT_EQ(proxy.moderator().stats(m).cancelled, 1u);
+  EXPECT_EQ(gate.entered, 0);
+  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
 }
 
 TEST(ModeratorAsyncTest, ShutdownSettlesParkedCallsAsCancelled) {

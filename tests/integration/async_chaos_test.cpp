@@ -1,5 +1,6 @@
 // Async moderation under fire (DESIGN.md §18): a park/complete/cancel
-// hammer and a deadline-vs-waker race, both with full protocol validation.
+// hammer and deadline-vs-waker races for async frames and for blocked sync
+// callers, all with full protocol validation.
 //
 // The liveness property is the hard one: a parked call holds no thread, so
 // a lost wakeup does not deadlock a stack anywhere — it silently never
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/framework.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/random.hpp"
 
 namespace amf {
@@ -220,6 +222,86 @@ TEST(AsyncChaosTest, DeadlineRacesWakerCompletion) {
   EXPECT_EQ(completed + timed_out, long{kRounds} * kBatch);
   EXPECT_GT(timed_out, 0) << "deadline band too generous to race";
   EXPECT_EQ(guard.entered, guard.posted);
+  EXPECT_TRUE(order->violations().empty())
+      << order->violations().front().description;
+  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
+  const auto violations = core::TraceValidator::validate(log);
+  EXPECT_TRUE(violations.empty())
+      << (violations.empty() ? "" : violations.front().description);
+}
+
+TEST(AsyncChaosTest, SyncDeadlineRacesWakerCompletion) {
+  // A blocked SYNC caller is a parked call plus a doorbell wait. Its own
+  // deadline escape (unpark the node, retry, settle kTimeout) races a
+  // completing holder's transfer of the same node. Every call starts
+  // inside a hold, and holds and deadlines are drawn from one seeded band,
+  // so the two land close together; whichever wins, each call gets exactly
+  // one outcome and the node's frame outlives every touch of it (TSan and
+  // ASan watch the frame die).
+  runtime::EventLog log;
+  core::ModeratorOptions options;
+  options.log = &log;
+  Proxy proxy{Cell{}, options};
+  const auto m = MethodId::of("sync-deadline-race");
+  Exclusive guard;
+  auto order = std::make_shared<core::HookOrderGuard>(guard.aspect());
+  proxy.moderator().register_aspect(m, AspectKind::of("sync-race-k"), order);
+
+  const std::uint64_t seed = runtime::FaultInjector::env_seed(0x5EED);
+  std::atomic<bool> done{false};
+  std::atomic<bool> holding{false};
+  std::atomic<long> held{0};
+  std::jthread holder([&] {
+    runtime::Rng rng(seed);
+    while (!done.load()) {
+      const auto hold = std::chrono::microseconds(rng.uniform_int(100, 1200));
+      auto r = proxy.invoke(m, [&](Cell& c) {
+        ++c.value;
+        holding.store(true);
+        std::this_thread::sleep_for(hold);
+        holding.store(false);
+      });
+      ASSERT_TRUE(r.ok());
+      held.fetch_add(1);
+    }
+  });
+
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 80;
+  std::atomic<long> completed{0}, timed_out{0};
+  {
+    std::vector<std::jthread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        runtime::Rng rng(seed + static_cast<std::uint64_t>(t) + 1);
+        for (int i = 0; i < kRounds; ++i) {
+          while (!holding.load()) std::this_thread::yield();
+          auto r = proxy.call(m)
+                       .within(std::chrono::microseconds(
+                           rng.uniform_int(100, 1200)))
+                       .run(Bump{});
+          if (r.ok()) {
+            completed.fetch_add(1);
+          } else {
+            ASSERT_EQ(r.status, InvocationStatus::kTimedOut);
+            EXPECT_EQ(r.error.code, ErrorCode::kTimeout);
+            timed_out.fetch_add(1);
+          }
+        }
+      });
+    }
+  }
+  done.store(true);
+  holder.join();
+
+  EXPECT_EQ(completed.load() + timed_out.load(), long{kCallers} * kRounds)
+      << "every sync call gets exactly one outcome";
+  EXPECT_GT(completed.load(), 0);
+  EXPECT_GT(timed_out.load(), 0) << "deadline band too generous to race";
+  EXPECT_EQ(guard.entered, guard.posted);
+  EXPECT_EQ(guard.entered,
+            static_cast<std::uint64_t>(completed.load() + held.load()));
   EXPECT_TRUE(order->violations().empty())
       << order->violations().front().description;
   EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
