@@ -24,7 +24,10 @@
 //                          recovered commit: the crash-restart cost.
 //   crc32c               — the frame checksum alone over a 64 KiB buffer
 //                          (items = bytes): what open and replay pay per
-//                          byte of log scanned.
+//                          byte of log scanned, on the path crc32c_extend
+//                          dispatches to (SSE4.2 where CPUID has it).
+//   crc32c_portable      — the same buffer through the slice-by-8 fallback:
+//                          the dispatch's same-run reference.
 //
 // Each ticket series alternates open/assign so the buffer never fills and
 // admission never blocks — the numbers isolate the persistence delta, not
@@ -202,21 +205,33 @@ void BM_RecoveryReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoveryReplay);
 
-void BM_Crc32c(benchmark::State& state) {
+void crc32c_rate(benchmark::State& state,
+                 std::uint32_t (*extend)(std::uint32_t, const void*,
+                                         std::size_t)) {
   std::vector<unsigned char> data(64u << 10);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<unsigned char>(i * 31 + 7);
   }
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = storage::crc32c_extend(crc, data.data(), data.size());
+    crc = extend(crc, data.data(), data.size());
     benchmark::DoNotOptimize(crc);
   }
   // Items are bytes, so the snapshot's items_per_second is the byte rate.
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));
 }
+
+void BM_Crc32c(benchmark::State& state) {
+  state.SetLabel(storage::crc32c_hardware() ? "sse4.2" : "portable");
+  crc32c_rate(state, &storage::crc32c_extend);
+}
 BENCHMARK(BM_Crc32c);
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  crc32c_rate(state, &storage::crc32c_extend_portable);
+}
+BENCHMARK(BM_Crc32cPortable);
 
 }  // namespace
 

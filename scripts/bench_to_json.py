@@ -9,6 +9,8 @@ Reads a full --benchmark_format=json report on stdin and writes OUTFILE:
       "experiment": "E8",
       "generated_by": "scripts/run_experiments.sh",
       "num_cpus": 1,
+      "cpu_model": "Intel(R) Xeon(R) Processor",
+      "repetitions": 1,
       "series": [
         {"name": "BM_FrameworkRw/2/90/real_time",
          "items_per_second": 1720000.0,
@@ -16,6 +18,11 @@ Reads a full --benchmark_format=json report on stdin and writes OUTFILE:
       ],
       "baseline": { ... }   # preserved from a previous OUTFILE, see below
     }
+
+`cpu_model` is the first "model name" line of /proc/cpuinfo on the
+machine that ran the conversion (null where there is none), and
+`repetitions` the largest --benchmark_repetitions count among the runs:
+with num_cpus, they say what a number was measured on and how often.
 
 Each series entry carries items_per_second plus every user counter the
 bench reported (latency percentiles, fast-path hit counts, mix shape).
@@ -56,8 +63,22 @@ def items_processed(b):
     return float(ips) * float(real_time) * unit * float(iterations)
 
 
+def cpu_model():
+    """The CPU's model name from /proc/cpuinfo, or None."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return None
+
+
 def compact(report):
-    """Full google-benchmark report -> {num_cpus, series:[...]}."""
+    """Full google-benchmark report -> {num_cpus, cpu_model, repetitions,
+    series:[...]}."""
     series = []
     for b in report.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -94,8 +115,12 @@ def compact(report):
                     or key.endswith("_ns") or key.endswith("_us"):
                 entry[key] = round(float(value), 1)
         series.append(entry)
+    runs = report.get("benchmarks", [])
     return {
         "num_cpus": report.get("context", {}).get("num_cpus"),
+        "cpu_model": cpu_model(),
+        "repetitions": max((b.get("repetitions", 1) for b in runs),
+                           default=1),
         "series": series,
     }
 
@@ -115,8 +140,8 @@ def main():
     out.update(compact(report))
 
     if set_baseline:
-        out["baseline"] = {"num_cpus": out["num_cpus"],
-                           "series": out["series"]}
+        out["baseline"] = {key: out[key] for key in
+                           ("num_cpus", "cpu_model", "repetitions", "series")}
     elif outfile.exists():
         try:
             prev = json.loads(outfile.read_text())

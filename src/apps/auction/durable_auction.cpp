@@ -1,6 +1,5 @@
 #include "apps/auction/durable_auction.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "aspects/synchronization.hpp"
@@ -49,7 +48,7 @@ Result<std::unique_ptr<DurableAuctionApp>> DurableAuctionApp::open(
       [&app](std::string_view payload) {
         return app->restore_snapshot(payload);
       },
-      [&app](storage::Lsn lsn, const storage::CommitRecord& record) {
+      [&app](storage::Lsn lsn, const storage::CommitView& record) {
         return app->apply_record(lsn, record);
       });
   if (!stats.ok()) return stats.error();
@@ -151,33 +150,29 @@ Result<void> DurableAuctionApp::restore_snapshot(std::string_view payload) {
 }
 
 Result<void> DurableAuctionApp::apply_record(
-    storage::Lsn lsn, const storage::CommitRecord& record) {
-  runtime::Principal principal;
-  principal.name = record.principal;
-  const std::string who = record.principal;
-
+    storage::Lsn lsn, const storage::CommitView& record) {
   std::int64_t reserve = 0, amount = 0;
   std::uint64_t item_id = 0;
+  bool has_reserve = false, has_amount = false, has_item = false;
   std::string title;
   for (const auto& [key, value] : record.notes) {
-    if (key == kTitleNote) title = value;
-    if (key == kReserveNote) reserve = std::strtoll(value.c_str(), nullptr, 10);
-    if (key == kAmountNote) amount = std::strtoll(value.c_str(), nullptr, 10);
-    if (key == kItemNote) item_id = std::strtoull(value.c_str(), nullptr, 10);
+    if (key == kTitleNote) {
+      title = value;
+    } else if (key == kReserveNote) {
+      has_reserve = storage::wire::parse_decimal(value, reserve);
+    } else if (key == kAmountNote) {
+      has_amount = storage::wire::parse_decimal(value, amount);
+    } else if (key == kItemNote) {
+      has_item = storage::wire::parse_decimal(value, item_id);
+    }
   }
 
-  auto build = [&](runtime::MethodId method) {
-    auto call = proxy_->call(method);
-    call.as(std::move(principal));
-    for (const auto& [key, value] : record.notes) {
-      call.note(key, value);
-    }
-    call.note(storage::kReplayNoteKey,
-              std::to_string(record.invocation_id));
-    call.within(options_.replay_deadline);
-    return call;
+  auto malformed = [&](std::string_view note) {
+    return make_error(ErrorCode::kCorrupted,
+                      "auction log: missing or malformed '" +
+                          std::string(note) + "' note at lsn " +
+                          std::to_string(lsn));
   };
-
   auto replay_error = [&](const runtime::Error& e) {
     const bool timed_out = e.code == ErrorCode::kTimeout ||
                            e.code == ErrorCode::kDeadlineExceeded;
@@ -185,31 +180,39 @@ Result<void> DurableAuctionApp::apply_record(
                       "replay of lsn " + std::to_string(lsn) +
                           " refused: " + e.to_string());
   };
+  auto replay = [&](runtime::MethodId method, auto body) -> Result<void> {
+    auto call = proxy_->call(method);
+    auto result = storage::load_replayed_call(call, record)
+                      .within(options_.replay_deadline)
+                      .run(body);
+    if (!result.ok()) return replay_error(result.error);
+    return {};
+  };
+  const std::string who(record.principal);
 
   if (record.method == list_method().name()) {
-    auto result = build(list_method()).run([&](AuctionHouse& h) {
-      return h.list_item(title, reserve, who);
+    if (!has_reserve) return malformed(kReserveNote);
+    return replay(list_method(), [&](AuctionHouse& h) {
+      return h.list_item(std::move(title), reserve, who);
     });
-    if (!result.ok()) return replay_error(result.error);
-    return {};
   }
   if (record.method == bid_method().name()) {
-    auto result = build(bid_method()).run([&](AuctionHouse& h) {
+    if (!has_item) return malformed(kItemNote);
+    if (!has_amount) return malformed(kAmountNote);
+    return replay(bid_method(), [&](AuctionHouse& h) {
       return h.place_bid(item_id, who, amount);
     });
-    if (!result.ok()) return replay_error(result.error);
-    return {};
   }
   if (record.method == close_method().name()) {
-    auto result = build(close_method()).run([item_id](AuctionHouse& h) {
+    if (!has_item) return malformed(kItemNote);
+    return replay(close_method(), [item_id](AuctionHouse& h) {
       return h.close_auction(item_id);
     });
-    if (!result.ok()) return replay_error(result.error);
-    return {};
   }
   return make_error(ErrorCode::kCorrupted,
-                    "auction log: unknown method '" + record.method +
-                        "' at lsn " + std::to_string(lsn));
+                    "auction log: unknown method '" +
+                        std::string(record.method) + "' at lsn " +
+                        std::to_string(lsn));
 }
 
 }  // namespace amf::apps::auction

@@ -81,7 +81,7 @@ class DurableAuctionApp {
 
   runtime::Result<void> restore_snapshot(std::string_view payload);
   runtime::Result<void> apply_record(storage::Lsn lsn,
-                                     const storage::CommitRecord& record);
+                                     const storage::CommitView& record);
   std::string capture_snapshot() const;
 
   std::string dir_;

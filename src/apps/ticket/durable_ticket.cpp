@@ -1,6 +1,5 @@
 #include "apps/ticket/durable_ticket.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "aspects/synchronization.hpp"
@@ -22,8 +21,6 @@ namespace {
 runtime::AspectKind exclusion_kind() {
   return runtime::AspectKind::of("exclusion");
 }
-
-std::string id_note_value(std::uint64_t id) { return std::to_string(id); }
 
 }  // namespace
 
@@ -85,7 +82,7 @@ Result<std::unique_ptr<DurableTicketApp>> DurableTicketApp::open(
       [&app](std::string_view payload) {
         return app->restore_snapshot(payload);
       },
-      [&app](storage::Lsn lsn, const storage::CommitRecord& record) {
+      [&app](storage::Lsn lsn, const storage::CommitView& record) {
         return app->apply_record(lsn, record);
       });
   if (!stats.ok()) return stats.error();
@@ -255,22 +252,7 @@ Result<void> DurableTicketApp::restore_snapshot(std::string_view payload) {
 }
 
 Result<void> DurableTicketApp::apply_record(
-    storage::Lsn lsn, const storage::CommitRecord& record) {
-  runtime::Principal principal;
-  principal.name = record.principal;
-
-  auto build = [&](runtime::MethodId method) {
-    auto call = proxy_->call(method);
-    call.as(std::move(principal));
-    for (const auto& [key, value] : record.notes) {
-      call.note(key, value);
-    }
-    call.note(storage::kReplayNoteKey,
-              id_note_value(record.invocation_id));
-    call.within(options_.replay_deadline);
-    return call;
-  };
-
+    storage::Lsn lsn, const storage::CommitView& record) {
   auto replay_error = [&](const runtime::Error& e) {
     // A blocked replay (timeout) means the log's order cannot be re-run —
     // e.g. an assign logged before the open it consumed. That is log
@@ -282,27 +264,46 @@ Result<void> DurableTicketApp::apply_record(
                           " refused: " + e.to_string());
   };
 
-  if (record.method == open_method().name()) {
+  // Interned names are stable: resolve them once, not per record.
+  static const std::string_view open_name = open_method().name();
+  static const std::string_view assign_name = assign_method().name();
+  if (record.method == open_name) {
     Ticket t;
+    bool has_id = false;
     for (const auto& [key, value] : record.notes) {
-      if (key == kTicketIdNote) t.id = std::strtoull(value.c_str(), nullptr, 10);
-      if (key == kTicketDescNote) t.description = value;
-      if (key == kTicketByNote) t.opened_by = value;
+      if (key == kTicketIdNote) {
+        has_id = storage::wire::parse_decimal(value, t.id);
+      } else if (key == kTicketDescNote) {
+        t.description = value;
+      } else if (key == kTicketByNote) {
+        t.opened_by = value;
+      }
     }
-    auto result =
-        build(open_method()).run([&t](TicketServer& s) { s.open(t); });
+    if (!has_id) {
+      return make_error(ErrorCode::kCorrupted,
+                        "ticket log: missing or malformed '" +
+                            std::string(kTicketIdNote) + "' note at lsn " +
+                            std::to_string(lsn));
+    }
+    auto call = proxy_->call(open_method());
+    auto result = storage::load_replayed_call(call, record)
+                      .within(options_.replay_deadline)
+                      .run([&t](TicketServer& s) { s.open(std::move(t)); });
     if (!result.ok()) return replay_error(result.error);
     return {};
   }
-  if (record.method == assign_method().name()) {
-    auto result =
-        build(assign_method()).run([](TicketServer& s) { return s.assign(); });
+  if (record.method == assign_name) {
+    auto call = proxy_->call(assign_method());
+    auto result = storage::load_replayed_call(call, record)
+                      .within(options_.replay_deadline)
+                      .run([](TicketServer& s) { return s.assign(); });
     if (!result.ok()) return replay_error(result.error);
     return {};
   }
   return make_error(ErrorCode::kCorrupted,
-                    "ticket log: unknown method '" + record.method +
-                        "' at lsn " + std::to_string(lsn));
+                    "ticket log: unknown method '" +
+                        std::string(record.method) + "' at lsn " +
+                        std::to_string(lsn));
 }
 
 }  // namespace amf::apps::ticket

@@ -167,7 +167,7 @@ class DurableTicketApp {
 
   runtime::Result<void> restore_snapshot(std::string_view payload);
   runtime::Result<void> apply_record(storage::Lsn lsn,
-                                     const storage::CommitRecord& record);
+                                     const storage::CommitView& record);
   std::string capture_snapshot() const;
 
   std::string dir_;

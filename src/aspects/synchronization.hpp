@@ -25,7 +25,7 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "core/aspect.hpp"
 #include "runtime/ids.hpp"
@@ -80,11 +80,11 @@ class ReadersWriterAspect final : public core::Aspect {
   explicit ReadersWriterAspect(Options options) : options_(options) {}
 
   /// Declares `method` a reader (shared access). Wiring-time only: the
-  /// reader/writer sets must be complete before traffic starts (they are
-  /// read without synchronization by every hook).
-  void add_reader(runtime::MethodId method) { readers_.insert(method); }
+  /// role table must be complete before traffic starts (every hook reads
+  /// it without synchronization).
+  void add_reader(runtime::MethodId method) { mark(method, kReader); }
   /// Declares `method` a writer (exclusive access).
-  void add_writer(runtime::MethodId method) { writers_.insert(method); }
+  void add_writer(runtime::MethodId method) { mark(method, kWriter); }
 
   std::string_view name() const override { return "readers-writer"; }
 
@@ -97,7 +97,7 @@ class ReadersWriterAspect final : public core::Aspect {
   /// guard merely REFUSES (kBlock) under an active writer — parking is
   /// the moderator's fallback. Writer methods stay on the locked path.
   bool nonblocking(runtime::MethodId method) const override {
-    return readers_.contains(method);
+    return (role(method) & kReader) != 0;
   }
 
   void on_arrive(core::InvocationContext& ctx) override {
@@ -160,13 +160,25 @@ class ReadersWriterAspect final : public core::Aspect {
   }
 
  private:
+  // Role bits per method, indexed by MethodId::value(): method ids are
+  // dense, so every hook answers is-writer with one bounds check and load.
+  static constexpr std::uint8_t kReader = 1;
+  static constexpr std::uint8_t kWriter = 2;
+
+  void mark(runtime::MethodId method, std::uint8_t bit) {
+    if (!method.valid()) return;  // no call ever carries the invalid id
+    if (method.value() >= roles_.size()) roles_.resize(method.value() + 1);
+    roles_[method.value()] |= bit;
+  }
+  std::uint8_t role(runtime::MethodId method) const {
+    return method.value() < roles_.size() ? roles_[method.value()] : 0;
+  }
   bool is_writer(const core::InvocationContext& ctx) const {
-    return writers_.contains(ctx.method());
+    return (role(ctx.method()) & kWriter) != 0;
   }
 
   Options options_;
-  std::unordered_set<runtime::MethodId> readers_;
-  std::unordered_set<runtime::MethodId> writers_;
+  std::vector<std::uint8_t> roles_;
   std::atomic<std::uint64_t> active_readers_{0};
   std::atomic<std::uint64_t> active_writers_{0};
   std::atomic<std::uint64_t> waiting_writers_{0};

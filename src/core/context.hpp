@@ -130,6 +130,13 @@ class InvocationContext {
   /// Caller identity; anonymous by default.
   const runtime::Principal& principal() const { return principal_; }
   void set_principal(runtime::Principal p) { principal_ = std::move(p); }
+  /// Names the caller in place (no Principal temporary), with no roles
+  /// and no token.
+  void set_principal_name(std::string_view name) {
+    principal_.name.assign(name.data(), name.size());
+    principal_.roles.clear();
+    principal_.token.clear();
+  }
 
   /// Scheduling priority (higher = more urgent; 0 default).
   int priority() const { return priority_; }

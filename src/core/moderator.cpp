@@ -562,7 +562,10 @@ void AspectModerator::record_fault(const AspectPtr& aspect,
 }
 
 void AspectModerator::drain_quarantine() {
-  if (!quarantine_pending_.exchange(false, std::memory_order_acq_rel)) {
+  // Every completion passes here: read before the exchange, so the common
+  // nothing-pending case costs a load, not a locked RMW.
+  if (!quarantine_pending_.load(std::memory_order_acquire) ||
+      !quarantine_pending_.exchange(false, std::memory_order_acq_rel)) {
     return;
   }
   std::vector<AspectPtr> batch;
@@ -909,7 +912,10 @@ void AspectModerator::async_attempt(ParkedCall& call) {
   for (;;) {
     const std::uint64_t burst_gen = enter_burst();
     const int parity = burst_parity(burst_gen);
-    const std::shared_ptr<const Moderation> mod =
+    // Borrowed from this thread's cache slot, as on the fast path: hooks
+    // may not call back into the moderator, so nothing in this attempt
+    // displaces it. Only a call that parks pins a copy (call.mod).
+    const std::shared_ptr<const Moderation>& mod =
         cached_moderation(ctx.method());
     const CompiledChainData& cc = *mod->compiled;
     MethodState& ms = *mod->self;

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -100,6 +101,11 @@ class ComponentProxy {
     /// Sets the caller identity.
     CallBuilder& as(runtime::Principal p) {
       ctx_.set_principal(std::move(p));
+      return *this;
+    }
+    /// Sets the caller identity to a bare name (no roles, no token).
+    CallBuilder& as(std::string_view name) {
+      ctx_.set_principal_name(name);
       return *this;
     }
     /// Sets the scheduling priority (higher = more urgent).

@@ -16,9 +16,11 @@
 // malformed with kCorrupted rather than guessing.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -65,17 +67,17 @@ struct Reader {
     }
     return true;
   }
+  // Byte loads OR-ed in one expression, which compilers fold into a
+  // single little-endian load where the host allows it.
   std::uint32_t u32() {
     if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | std::uint8_t(data[pos + i]);
+    const std::uint32_t v = le32(pos);
     pos += 4;
     return v;
   }
   std::uint64_t u64() {
     if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | std::uint8_t(data[pos + i]);
+    const std::uint64_t v = le32(pos) | std::uint64_t(le32(pos + 4)) << 32;
     pos += 8;
     return v;
   }
@@ -86,11 +88,28 @@ struct Reader {
   std::string_view str() {
     const std::uint32_t n = u32();
     if (!need(n)) return {};
-    std::string_view s = data.substr(pos, n);
+    const std::string_view s(data.data() + pos, n);  // need() checked it
     pos += n;
     return s;
   }
+
+ private:
+  std::uint32_t le32(std::size_t at) const {
+    const auto* p = reinterpret_cast<const unsigned char*>(data.data()) + at;
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+  }
 };
+
+/// Parses a whole decimal number, the form the durable apps give numeric
+/// notes (std::to_string). False on an empty, non-digit, trailing-junk or
+/// out-of-range value, and on a sign where T is unsigned.
+template <typename T>
+bool parse_decimal(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 }  // namespace wire
 
 /// Serializes the NoteStore in insertion order (count, then key/value
@@ -129,37 +148,105 @@ inline std::string encode_commit(const core::InvocationContext& ctx) {
   return out;
 }
 
-/// Decodes `payload` into `rec`, reusing its strings' and notes' capacity:
-/// a replay that decodes every record into one CommitRecord allocates only
-/// when a record outgrows the largest one before it. Malformed or trailing
-/// bytes fail with kCorrupted, leaving `rec` valid but unspecified.
-inline runtime::Result<void> decode_commit_into(std::string_view payload,
-                                                CommitRecord& rec) {
+/// Notes section of a validated commit payload, decoded in place as it is
+/// iterated: each step yields one key/value pair of views into the
+/// payload. Valid only while the payload bytes are.
+class NoteRange {
+ public:
+  class iterator {
+   public:
+    using value_type = std::pair<std::string_view, std::string_view>;
+
+    iterator() = default;
+    value_type operator*() const { return note_; }
+    iterator& operator++() {
+      if (--left_ > 0) read();
+      return *this;
+    }
+    bool operator==(const iterator& other) const {
+      return left_ == other.left_;
+    }
+
+   private:
+    friend class NoteRange;
+    iterator(std::string_view bytes, std::uint32_t count)
+        : reader_{bytes}, left_(count) {
+      if (left_ > 0) read();
+    }
+    void read() {
+      note_.first = reader_.str();
+      note_.second = reader_.str();
+    }
+
+    wire::Reader reader_;
+    std::uint32_t left_ = 0;  // notes not yet stepped past, current included
+    value_type note_;
+  };
+
+  NoteRange() = default;
+  /// `bytes` holds exactly `count` key/value pairs (decode_commit_view
+  /// checked them).
+  NoteRange(std::string_view bytes, std::uint32_t count)
+      : bytes_(bytes), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  iterator begin() const { return iterator(bytes_, count_); }
+  iterator end() const { return iterator(); }
+
+ private:
+  std::string_view bytes_;
+  std::uint32_t count_ = 0;
+};
+
+/// A commit record as views into its encoded payload — the form recovery
+/// replays from (no string is copied to read a record). Valid only while
+/// the payload bytes are: during replay, inside one Recovery::Apply call.
+struct CommitView {
+  std::uint64_t invocation_id = 0;
+  std::string_view method;
+  std::string_view principal;
+  bool body_succeeded = true;
+  NoteRange notes;  ///< insertion order, as encoded
+};
+
+/// The commit-record parser. Every length is bounds-checked and every
+/// note visited once here, so iterating the returned notes cannot fail;
+/// malformed or trailing bytes fail with kCorrupted.
+inline runtime::Result<CommitView> decode_commit_view(
+    std::string_view payload) {
   wire::Reader r{payload};
-  rec.invocation_id = r.u64();
-  rec.body_succeeded = r.u8() != 0;
-  rec.method.assign(r.str());
-  rec.principal.assign(r.str());
+  CommitView view;
+  view.invocation_id = r.u64();
+  view.body_succeeded = r.u8() != 0;
+  view.method = r.str();
+  view.principal = r.str();
   const std::uint32_t count = r.u32();
-  std::size_t n = 0;
-  for (; n < count && !r.failed; ++n) {
-    const std::string_view key = r.str();
-    const std::string_view value = r.str();
-    if (n == rec.notes.size()) rec.notes.emplace_back();
-    rec.notes[n].first.assign(key);
-    rec.notes[n].second.assign(value);
+  const std::size_t notes_at = r.pos;
+  for (std::uint32_t i = 0; i < count && !r.failed; ++i) {
+    r.str();
+    r.str();
   }
-  rec.notes.resize(n);
   if (r.failed || r.pos != payload.size()) {
     return runtime::make_error(runtime::ErrorCode::kCorrupted,
                                "codec: malformed commit record payload");
   }
-  return {};
+  view.notes = NoteRange(payload.substr(notes_at), count);
+  return view;
 }
 
+/// Owning decode: decode_commit_view, then copies.
 inline runtime::Result<CommitRecord> decode_commit(std::string_view payload) {
+  auto view = decode_commit_view(payload);
+  if (!view.ok()) return view.error();
+  const CommitView& v = view.value();
   CommitRecord rec;
-  if (auto r = decode_commit_into(payload, rec); !r.ok()) return r.error();
+  rec.invocation_id = v.invocation_id;
+  rec.method = v.method;
+  rec.principal = v.principal;
+  rec.body_succeeded = v.body_succeeded;
+  rec.notes.reserve(v.notes.size());
+  for (const auto& [key, value] : v.notes) rec.notes.emplace_back(key, value);
   return rec;
 }
 

@@ -18,15 +18,15 @@ Result<RecoveryStats> Recovery::recover(Storage& storage,
     if (!restored.ok()) return restored.error();
   }
 
-  // One CommitRecord for the whole pass: decode reuses its capacity, so
-  // replay holds O(largest record) here, whatever the log's length.
-  CommitRecord decoded;
+  // Records are decoded as views into the storage's reused WalRecord:
+  // nothing is copied to read one, and replay holds O(largest record)
+  // here, whatever the log's length.
   auto replayed = storage.replay(
       stats.snapshot_lsn, [&](const WalRecord& record) -> Result<void> {
         if (record.type != kCommitRecord) return {};  // future record kinds
-        if (auto r = decode_commit_into(record.payload, decoded); !r.ok())
-          return r;
-        if (auto r = apply(record.lsn, decoded); !r.ok()) return r;
+        auto view = decode_commit_view(record.payload);
+        if (!view.ok()) return view.error();
+        if (auto r = apply(record.lsn, view.value()); !r.ok()) return r;
         ++stats.replayed;
         return {};
       });

@@ -17,12 +17,14 @@
 //     live run.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
 
 #include "storage/codec.hpp"
+#include "storage/persistence.hpp"
 #include "storage/storage.hpp"
 
 namespace amf::storage {
@@ -40,10 +42,10 @@ class Recovery {
   using Restore = std::function<runtime::Result<void>(std::string_view)>;
 
   /// Re-applies one logged commit record (expected: a real proxy call with
-  /// ctx note kReplayNoteKey = record.invocation_id). The record is reused
-  /// for the next one: copy out anything needed after the call returns.
-  using Apply =
-      std::function<runtime::Result<void>(Lsn, const CommitRecord&)>;
+  /// ctx note kReplayNoteKey = record.invocation_id). The view points into
+  /// the replay's reused frame buffer and is valid only inside this call:
+  /// copy out anything needed after it returns.
+  using Apply = std::function<runtime::Result<void>(Lsn, const CommitView&)>;
 
   /// Produces the snapshot payload for the application's current state;
   /// called only while the caller guarantees quiescence.
@@ -66,5 +68,19 @@ class Recovery {
   static runtime::Result<Lsn> checkpoint(Storage& storage,
                                          const Capture& capture);
 };
+
+/// Loads a logged call into a fresh proxy CallBuilder: the caller's name,
+/// the logged notes in order, then kReplayNoteKey = the record's
+/// invocation id. A durable app's Apply adds its deadline and runs it.
+template <typename CallBuilder>
+CallBuilder& load_replayed_call(CallBuilder& call, const CommitView& record) {
+  char id[20];  // the longest std::uint64_t in decimal
+  const char* end =
+      std::to_chars(id, id + sizeof id, record.invocation_id).ptr;
+  call.as(record.principal);
+  for (const auto& [key, value] : record.notes) call.note(key, value);
+  call.note(kReplayNoteKey, std::string_view(id, std::size_t(end - id)));
+  return call;
+}
 
 }  // namespace amf::storage

@@ -467,10 +467,7 @@ Lsn Wal::last_synced() const {
   return last_synced_;
 }
 
-bool Wal::healthy() const {
-  std::scoped_lock lock(mu_);
-  return !failed_;
-}
+bool Wal::healthy() const { return !failed_; }
 
 std::vector<WalRecord> Wal::unsynced_records() const {
   std::scoped_lock lock(mu_);

@@ -34,6 +34,7 @@
 // segment reaches segment_bytes and doubles as a sync barrier.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -166,7 +167,9 @@ class Wal {
   std::size_t buffered_records_ = 0;
   Lsn next_lsn_ = 1;
   Lsn last_synced_ = 0;
-  bool failed_ = false;
+  // Set (never cleared) under mu_; healthy() reads it without the lock,
+  // so the persistence guard's per-call check takes no WAL mutex.
+  std::atomic<bool> failed_{false};
 };
 
 }  // namespace amf::storage

@@ -58,6 +58,17 @@ class PersistenceTest : public ::testing::Test {
 
   std::string dir() const { return dir_.string(); }
 
+  /// Writes a log whose only record is `rec`, as a crashed process left it.
+  void write_log_of(const storage::CommitRecord& rec) {
+    auto storage = storage::FileStorage::open(dir(), storage::WalOptions{});
+    ASSERT_TRUE(storage.ok());
+    ASSERT_TRUE(storage.value()
+                    ->append(storage::kCommitRecord,
+                             storage::encode_commit(rec))
+                    .ok());
+    ASSERT_TRUE(storage.value()->sync().ok());
+  }
+
   fs::path dir_;
 };
 
@@ -250,19 +261,42 @@ TEST_F(PersistenceTest, ReplayRunsThroughTheFullProtocol) {
 }
 
 TEST_F(PersistenceTest, UnknownMethodInLogIsCorruption) {
-  {
-    auto storage = storage::FileStorage::open(dir(), storage::WalOptions{});
-    ASSERT_TRUE(storage.ok());
-    storage::CommitRecord bogus;
-    bogus.invocation_id = 1;
-    bogus.method = "drop_all_tables";
-    ASSERT_TRUE(storage.value()
-                    ->append(storage::kCommitRecord,
-                             storage::encode_commit(bogus))
-                    .ok());
-    ASSERT_TRUE(storage.value()->sync().ok());
-  }
+  storage::CommitRecord bogus;
+  bogus.invocation_id = 1;
+  bogus.method = "drop_all_tables";
+  write_log_of(bogus);
   auto app = DurableTicketApp::open(dir());
+  ASSERT_FALSE(app.ok());
+  EXPECT_EQ(app.error().code, ErrorCode::kCorrupted);
+}
+
+TEST_F(PersistenceTest, TicketReplayRejectsAMalformedIdNote) {
+  // "12x" is not a ticket id: replay must refuse it as log damage rather
+  // than open ticket 12.
+  storage::CommitRecord open;
+  open.invocation_id = 1;
+  open.method = std::string(apps::ticket::open_method().name());
+  open.principal = "a";
+  open.notes = {{std::string(apps::ticket::kTicketIdNote), "12x"},
+                {std::string(apps::ticket::kTicketDescNote), "t"},
+                {std::string(apps::ticket::kTicketByNote), "a"}};
+  write_log_of(open);
+  auto app = DurableTicketApp::open(dir());
+  ASSERT_FALSE(app.ok());
+  EXPECT_EQ(app.error().code, ErrorCode::kCorrupted);
+}
+
+TEST_F(PersistenceTest, AuctionReplayRejectsAMalformedReserveNote) {
+  using apps::auction::DurableAuctionApp;
+  // "12x" is not a reserve price: no item may be listed at 12.
+  storage::CommitRecord list;
+  list.invocation_id = 1;
+  list.method = std::string(apps::auction::list_method().name());
+  list.principal = "alice";
+  list.notes = {{std::string(apps::auction::kTitleNote), "lamp"},
+                {std::string(apps::auction::kReserveNote), "12x"}};
+  write_log_of(list);
+  auto app = DurableAuctionApp::open(dir());
   ASSERT_FALSE(app.ok());
   EXPECT_EQ(app.error().code, ErrorCode::kCorrupted);
 }

@@ -146,7 +146,7 @@ std::uint64_t recover_allocs(const std::string& dir, std::uint64_t expect) {
     return {};
   };
   const Recovery::Apply apply = [&applied](Lsn,
-                                           const CommitRecord& rec) -> Result<void> {
+                                           const CommitView& rec) -> Result<void> {
     if (rec.notes.size() == 3) ++applied;
     return {};
   };

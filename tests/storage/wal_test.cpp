@@ -121,7 +121,8 @@ TEST(Crc32cTest, IncrementalEqualsOneShot) {
 }
 
 TEST(Crc32cTest, MatchesTheRfc3720KnownAnswers) {
-  // RFC 3720 §B.4: 32-byte iSCSI test vectors.
+  // RFC 3720 §B.4: 32-byte iSCSI test vectors, on the dispatched path and
+  // on the portable one (the same path on a CPU without SSE4.2).
   std::string zeros(32, '\x00');
   std::string ones(32, '\xFF');
   std::string ascending(32, '\0');
@@ -130,10 +131,41 @@ TEST(Crc32cTest, MatchesTheRfc3720KnownAnswers) {
     ascending[i] = char(i);
     descending[i] = char(31 - i);
   }
-  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
-  EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
-  EXPECT_EQ(crc32c(ascending), 0x46DD794Eu);
-  EXPECT_EQ(crc32c(descending), 0x113FDB5Cu);
+  const std::pair<const std::string*, std::uint32_t> vectors[] = {
+      {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},
+      {&ascending, 0x46DD794Eu},
+      {&descending, 0x113FDB5Cu}};
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(crc32c(*data), want);
+    EXPECT_EQ(crc32c_extend_portable(0, data->data(), data->size()), want);
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathAgreesWithThePortableOne) {
+  // Lengths 0..4096 cover the 8-byte stride, its byte tail and many
+  // strides; starts 0..15 put the stride on every alignment.
+  std::vector<unsigned char> data(4096 + 16);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 167 + (i >> 8) + 13);
+  }
+  for (std::size_t start = 0; start < 16; ++start) {
+    const unsigned char* p = data.data() + start;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(crc32c_extend(0, p, len), crc32c_extend_portable(0, p, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  // A resumed state must fold the same way on both paths.
+  const std::uint32_t mid = crc32c_extend_portable(0, data.data(), 100);
+  EXPECT_EQ(crc32c_extend(mid, data.data() + 100, 1000),
+            crc32c_extend_portable(mid, data.data() + 100, 1000));
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c_hardware(), bool(__builtin_cpu_supports("sse4.2")));
+#else
+  EXPECT_FALSE(crc32c_hardware());
+#endif
 }
 
 TEST(Crc32cTest, EverySplitAndMisalignedStartAgrees) {
