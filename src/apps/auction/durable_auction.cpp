@@ -43,14 +43,18 @@ Result<std::unique_ptr<DurableAuctionApp>> DurableAuctionApp::open(
   moderator.register_aspect(query_method(), runtime::kinds::synchronization(),
                             rw);
 
-  auto stats = storage::Recovery::recover(
-      *app->storage_,
-      [&app](std::string_view payload) {
-        return app->restore_snapshot(payload);
-      },
-      [&app](storage::Lsn lsn, const storage::CommitView& record) {
-        return app->apply_record(lsn, record);
-      });
+  // Same exclusive recovery phase as the ticket app (DESIGN.md §15.5).
+  auto stats = [&] {
+    const core::AspectModerator::ExclusivePhase phase(moderator);
+    return storage::Recovery::recover(
+        *app->storage_,
+        [&app](std::string_view payload) {
+          return app->restore_snapshot(payload);
+        },
+        [&app](storage::Lsn lsn, const storage::CommitView& record) {
+          return app->apply_record(lsn, record);
+        });
+  }();
   if (!stats.ok()) return stats.error();
   app->recovery_ = std::move(stats.value());
   return app;
@@ -174,6 +178,8 @@ Result<void> DurableAuctionApp::apply_record(
                           std::to_string(lsn));
   };
   auto replay_error = [&](const runtime::Error& e) {
+    // A replayed call that would block fails at once with kTimeout in the
+    // exclusive phase: the log's order cannot be re-run, so it is damage.
     const bool timed_out = e.code == ErrorCode::kTimeout ||
                            e.code == ErrorCode::kDeadlineExceeded;
     return make_error(timed_out ? ErrorCode::kCorrupted : e.code,
@@ -182,9 +188,7 @@ Result<void> DurableAuctionApp::apply_record(
   };
   auto replay = [&](runtime::MethodId method, auto body) -> Result<void> {
     auto call = proxy_->call(method);
-    auto result = storage::load_replayed_call(call, record)
-                      .within(options_.replay_deadline)
-                      .run(body);
+    auto result = storage::load_replayed_call(call, record).run(body);
     if (!result.ok()) return replay_error(result.error);
     return {};
   };

@@ -9,12 +9,12 @@
 //     their base discipline, so no extra exclusion aspect is needed: the
 //     RW writer slot is the serializer, and persist (last kind, so first
 //     postaction) appends while it is held. Append order == effect order.
-//   * replay re-issues logged calls through the live proxy. AuctionHouse
+//   * replay re-issues logged calls through the live proxy, inside an
+//     exclusive moderator phase (same hooks, no shard locks). AuctionHouse
 //     assigns item ids sequentially, so a replay from a snapshot-consistent
 //     base reproduces identical ids without recording them.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -36,11 +36,12 @@ class DurableAuctionApp {
   struct Options {
     storage::WalOptions wal;
     core::ModeratorOptions moderator;
-    runtime::Duration replay_deadline = std::chrono::seconds(5);
   };
 
   /// Opens the durable auction over `dir`: storage, composition, snapshot
-  /// restore, log-tail replay.
+  /// restore, log-tail replay. Replay runs in an exclusive moderator phase
+  /// (DESIGN.md §15.5), where a replayed call that would block fails at
+  /// once and open() returns kCorrupted.
   static runtime::Result<std::unique_ptr<DurableAuctionApp>> open(
       std::string dir, Options options);
   static runtime::Result<std::unique_ptr<DurableAuctionApp>> open(

@@ -77,14 +77,21 @@ Result<std::unique_ptr<DurableTicketApp>> DurableTicketApp::open(
                                               checkpoint_method()};
   for (const auto m : all) moderator.set_notification_plan(m, all);
 
-  auto stats = storage::Recovery::recover(
-      *app->storage_,
-      [&app](std::string_view payload) {
-        return app->restore_snapshot(payload);
-      },
-      [&app](storage::Lsn lsn, const storage::CommitView& record) {
-        return app->apply_record(lsn, record);
-      });
+  // Recovery runs in an exclusive moderator phase (DESIGN.md §15.5): the
+  // replayed calls run every hook in order, without the synchronisation
+  // that only guards against threads that do not exist yet. The phase ends
+  // on every exit path, before the checkpointer thread starts.
+  auto stats = [&] {
+    const core::AspectModerator::ExclusivePhase phase(moderator);
+    return storage::Recovery::recover(
+        *app->storage_,
+        [&app](std::string_view payload) {
+          return app->restore_snapshot(payload);
+        },
+        [&app](storage::Lsn lsn, const storage::CommitView& record) {
+          return app->apply_record(lsn, record);
+        });
+  }();
   if (!stats.ok()) return stats.error();
   app->recovery_ = std::move(stats.value());
 
@@ -234,11 +241,12 @@ Result<void> DurableTicketApp::restore_snapshot(std::string_view payload) {
 
   // Rebuild through the MODERATED proxy so the sync aspects' shared state
   // (reserved/committed slots) tracks the refilled buffer; the replay note
-  // keeps the persistence aspect from logging the reconstruction.
+  // keeps the persistence aspect from logging the reconstruction. Runs in
+  // open()'s exclusive phase, where a call that would block (more pending
+  // tickets than slots) fails at once with kTimeout.
   for (const Ticket& t : pending) {
     auto result = proxy_->call(open_method())
                       .note(storage::kReplayNoteKey, "snapshot")
-                      .within(options_.replay_deadline)
                       .run([&t](TicketServer& s) { s.open(t); });
     if (!result.ok()) {
       return make_error(ErrorCode::kCorrupted,
@@ -254,9 +262,10 @@ Result<void> DurableTicketApp::restore_snapshot(std::string_view payload) {
 Result<void> DurableTicketApp::apply_record(
     storage::Lsn lsn, const storage::CommitView& record) {
   auto replay_error = [&](const runtime::Error& e) {
-    // A blocked replay (timeout) means the log's order cannot be re-run —
-    // e.g. an assign logged before the open it consumed. That is log
-    // damage, not overload.
+    // A blocked replay means the log's order cannot be re-run — e.g. an
+    // assign logged before the open it consumed. In open()'s exclusive
+    // phase a call that would block fails at once with kTimeout; that is
+    // log damage, not overload.
     const bool timed_out = e.code == ErrorCode::kTimeout ||
                            e.code == ErrorCode::kDeadlineExceeded;
     return make_error(timed_out ? ErrorCode::kCorrupted : e.code,
@@ -287,7 +296,6 @@ Result<void> DurableTicketApp::apply_record(
     }
     auto call = proxy_->call(open_method());
     auto result = storage::load_replayed_call(call, record)
-                      .within(options_.replay_deadline)
                       .run([&t](TicketServer& s) { s.open(std::move(t)); });
     if (!result.ok()) return replay_error(result.error);
     return {};
@@ -295,7 +303,6 @@ Result<void> DurableTicketApp::apply_record(
   if (record.method == assign_name) {
     auto call = proxy_->call(assign_method());
     auto result = storage::load_replayed_call(call, record)
-                      .within(options_.replay_deadline)
                       .run([](TicketServer& s) { return s.assign(); });
     if (!result.ok()) return replay_error(result.error);
     return {};

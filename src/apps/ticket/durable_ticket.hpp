@@ -17,7 +17,9 @@
 //     its append runs FIRST, while the exclusion slot is still held.
 //
 // Recovery re-issues logged calls through the same proxy, so guards, entry,
-// notification plans and postactions all run on replay exactly as live.
+// notification plans and postactions all run on replay exactly as live —
+// inside an exclusive moderator phase, which drops only the synchronisation
+// that guards against other threads (DESIGN.md §15.5).
 #pragma once
 
 #include <chrono>
@@ -54,9 +56,10 @@ class DurableTicketApp {
     std::size_t capacity = 16;
     storage::WalOptions wal;
     core::ModeratorOptions moderator;
-    /// Admission deadline for replayed calls: converts a log that replays
-    /// inconsistently (e.g. an assign before the open it consumed) into a
-    /// structured kCorrupted failure instead of a hang.
+    /// Admission deadline of checkpoint(), its only use. (Replay needs
+    /// none: it runs in an exclusive moderator phase, where a replayed call
+    /// that would block — e.g. an assign before the open it consumed —
+    /// fails at once and open() returns kCorrupted.)
     runtime::Duration replay_deadline = std::chrono::seconds(5);
     /// When true, the WAL opens behind a SelfHealingStorage (DESIGN.md
     /// §17): a device fault fences the log into a degraded window (spill or

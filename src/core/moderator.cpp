@@ -1,6 +1,8 @@
 #include "core/moderator.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -65,12 +67,21 @@ std::vector<std::shared_ptr<const void>>& tl_graveyard() {
   return graveyard;
 }
 
+// Exclusive phases this thread owns, across moderators. A phase admission
+// opens no span, so an open phase stands in for one: its calls borrow
+// records exactly like spanned calls do.
+int& tl_exclusive_phases() {
+  static thread_local int phases = 0;
+  return phases;
+}
+
 // Parks (or, when no borrow can exist, destroys) a record displaced from
 // this thread's moderation cache. tl_span_counts() entries are pruned at
-// zero, so an empty vector means no open span on this thread: nothing can
-// be borrowing parked records, and the whole graveyard drains.
+// zero, so an empty vector and no exclusive phase mean no live borrow on
+// this thread: nothing can be borrowing parked records, and the whole
+// graveyard drains.
 void tl_park(std::shared_ptr<const void> displaced) {
-  if (tl_span_counts().empty()) {
+  if (tl_span_counts().empty() && tl_exclusive_phases() == 0) {
     tl_graveyard().clear();
     return;  // `displaced` dies here — no span, no live borrow
   }
@@ -158,6 +169,10 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // one of the 1-in-16 the latency sample keeps honest. Hook-bearing and
   // slow-path admissions always stamp — TimingAspect and the overload
   // family read enqueued_at/admitted_at.
+  //
+  // An exclusive phase (owner thread only; anyone else aborts here) skips
+  // steps 1 and 2: its admissions all take the stripped locked loop.
+  const bool exclusive = exclusive_call("preactivation");
   log_event("preactivation", ctx);
 
   // Aspects that already received on_arrive for this invocation — persists
@@ -167,7 +182,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // 1. Optimistic fast path: one lock-free attempt before any mutex. Falls
   // through on ineligibility, validation failure, or a kBlock verdict
   // (on_arrive hooks that fired carry over via `arrived`).
-  {
+  if (!exclusive) {
     Decision fast{};
     if (try_fast_admission(ctx, arrived, &fast)) return fast;
   }
@@ -178,7 +193,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // on the request's own cv slot until a leader settles it. Shutdown
   // takes the park path, which owns the refusal semantics. The peek holds
   // no burst, so every other admission pays for exactly one per attempt.
-  while (cached_moderation(ctx.method())->batch_eligible &&
+  while (!exclusive && cached_moderation(ctx.method())->batch_eligible &&
          !shutdown_.load(std::memory_order_acquire)) {
     stamp_arrival(ctx);
     const std::uint64_t burst_gen = enter_burst();
@@ -213,7 +228,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   call.arrived = arrived;
   Decision verdict = Decision::kBlock;  // settle never reports kBlock
   call.settle.emplace([&verdict](Decision d) { verdict = d; });
-  async_attempt(call);
+  async_attempt(call, exclusive);
   if (verdict != Decision::kBlock) return verdict;  // never parked
 
   // 4. Wait until the call settles. Every signal (completion, barrier,
@@ -243,6 +258,10 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
 }
 
 void AspectModerator::postactivation(InvocationContext& ctx) {
+  // Inside an exclusive phase (owner thread only; anyone else aborts here)
+  // the completion takes no burst, Dekker stake or shard lock, and has
+  // nothing parked to transfer.
+  const bool exclusive = exclusive_call("postactivation");
   // Defensive: postactivation without a matching admission is a driver
   // bug (the proxy never does this). Running postactions for entries
   // that never happened would corrupt aspect state, so refuse and log.
@@ -263,7 +282,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   // record tries to complete lock-free. Validation failure (a waiter
   // appeared, the composition or a plan moved, a barrier is draining)
   // falls through to the locked completion below, pinning included.
-  if (admitted != nullptr && admitted->fast_eligible &&
+  if (!exclusive && admitted != nullptr && admitted->fast_eligible &&
       try_fast_completion(*admitted, ctx)) {
     return;
   }
@@ -292,11 +311,11 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
 
   // Postactivation always proceeds (an open span bypasses a draining
   // barrier's gate, so completions can never deadlock against it).
-  const std::uint64_t burst_gen = enter_burst();
-  const int parity = burst_parity(burst_gen);
+  const int parity = exclusive ? -1 : burst_parity(enter_burst());
   // Same gating as preactivation: the Dekker traffic is pure overhead while
   // no fast-capable composition exists (load ordered after enter_burst).
-  const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
+  const bool dekker =
+      !exclusive && dekker_arming_.load(std::memory_order_seq_cst);
 
   for (;;) {
     // Owning copy when re-resolving: postactions may re-enter the
@@ -360,7 +379,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
       }
       if (dekker) lockers_add(shards.data(), shards.size());
       {
-        LockSet locks(shards.data(), shards.size());
+        LockSet locks(shards.data(), exclusive ? 0 : shards.size());
         if (dekker) drain_fast_windows(shards.data(), shards.size());
         if (cc.any_post || fault_ != nullptr) {
           for (std::size_t i = cc.ops.size(); i-- > 0;) {
@@ -372,9 +391,13 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
         log_event("postactivation", ctx);
         // Calls park under the shard mutex (held here), so this transfer
         // serializes with — and cannot miss — any park that saw
-        // pre-completion guard state.
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          if (wake.begin()[i]) transfer_parked_under_lock(*shards.begin()[i]);
+        // pre-completion guard state. A phase has nothing parked.
+        if (!exclusive) {
+          for (std::size_t i = 0; i < shards.size(); ++i) {
+            if (wake.begin()[i]) {
+              transfer_parked_under_lock(*shards.begin()[i]);
+            }
+          }
         }
       }
       if (dekker) lockers_sub(shards.data(), shards.size());
@@ -400,7 +423,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
     }
     {
       LockSet locks(mod->completion_shards.data(),
-                    mod->completion_shards.size());
+                    exclusive ? 0 : mod->completion_shards.size());
       if (dekker) {
         drain_fast_windows(mod->completion_shards.data(),
                            mod->completion_shards.size());
@@ -413,12 +436,14 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
       (pinned ? pinned->self : mod->self)
           ->stats.completed.fetch_add(1, std::memory_order_relaxed);
       log_event("postactivation", ctx);
-      for (auto* s : mod->completion_shards) transfer_parked_under_lock(*s);
-      // A completion is the canonical guard-state change: re-drive queued
-      // and parked batch admissions under the all-shards locks we already
-      // hold. If another thread owns the combiner token it is blocked on
-      // these very locks and re-evaluates after our release.
-      try_drain_batch_under_locks();
+      if (!exclusive) {
+        for (auto* s : mod->completion_shards) transfer_parked_under_lock(*s);
+        // A completion is the canonical guard-state change: re-drive queued
+        // and parked batch admissions under the all-shards locks we already
+        // hold. If another thread owns the combiner token it is blocked on
+        // these very locks and re-evaluates after our release.
+        try_drain_batch_under_locks();
+      }
     }
     if (dekker) {
       lockers_sub(mod->completion_shards.data(),
@@ -428,7 +453,11 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   }
 
   sample_latency(ctx);
-  exit_burst(parity);
+  if (exclusive) {
+    excl_.admitted -= 1;
+  } else {
+    exit_burst(parity);
+  }
   close_span(ctx);
   drain_quarantine();
 }
@@ -738,7 +767,15 @@ void AspectModerator::signal_barrier() {
 }
 
 void AspectModerator::recompose_barrier() {
-  std::scoped_lock serial(barrier_serial_mu_);
+  std::unique_lock serial(barrier_serial_mu_);
+  // Another thread's exclusive phase runs with no burst or span to drain
+  // against: wait for it to end. The owner's own barriers (quarantine
+  // drains, recompositions between its calls) run at once.
+  excl_cv_.wait(serial, [&] {
+    return !excl_.on.load(std::memory_order_acquire) ||
+           excl_.owner.load(std::memory_order_relaxed) ==
+               std::this_thread::get_id();
+  });
   // Close the gate. Bursts registered before this flip belong to the old
   // parity; new arrivals park (or, holding an open span, register on the
   // new side).
@@ -776,6 +813,80 @@ void AspectModerator::recompose_barrier() {
   // Reopen the gate and release parked arrivals.
   gen_.fetch_add(1, std::memory_order_seq_cst);
   signal_barrier();
+}
+
+// --- exclusive phase -------------------------------------------------------
+
+void AspectModerator::exclusive_abort(const char* what, const char* where) {
+  std::fprintf(stderr, "amf: exclusive phase violated: %s (%s)\n", what,
+               where);
+  std::abort();
+}
+
+void AspectModerator::begin_exclusive() {
+  // Checked before the serial lock: a barrier run now would wait on this
+  // very thread's span and never let begin proceed.
+  if (holds_open_span()) {
+    exclusive_abort("the calling thread has an admitted call open",
+                    "begin_exclusive");
+  }
+  // Serialized with barriers: none is mid-drain while the phase starts.
+  std::scoped_lock serial(barrier_serial_mu_);
+  // Acquire: the hooks of every call that already closed its burst or
+  // span (fast windows included) happen-before the phase's unlocked hooks.
+  const auto live = [](const std::array<std::atomic<std::int64_t>, 2>& c) {
+    return c[0].load(std::memory_order_acquire) +
+           c[1].load(std::memory_order_acquire);
+  };
+  const char* refusal = nullptr;
+  if (excl_.on.load(std::memory_order_relaxed)) {
+    refusal = "a phase is already active";
+  } else if (shutdown_.load(std::memory_order_acquire)) {
+    refusal = "the moderator is shut down";
+  } else if (live(bursts_) != 0) {
+    refusal = "a moderation burst is in flight";
+  } else if (live(spans_) != 0) {
+    refusal = "an admitted call has not completed";
+  } else if (parked_.load(std::memory_order_relaxed) != 0) {
+    refusal = "a call is parked";
+  } else if (combiner_.active.load(std::memory_order_seq_cst) ||
+             combiner_.parked.load(std::memory_order_relaxed) != 0 ||
+             !combiner_.pending.empty()) {
+    refusal = "a batch request is queued or parked";
+  }
+  if (refusal != nullptr) exclusive_abort(refusal, "begin_exclusive");
+  // Lock each shard once: every earlier locked section happens-before the
+  // phase's unlocked hooks, and the parked lists are confirmed empty.
+  {
+    std::shared_lock registry(registry_mu_);
+    for (auto& [_, state] : methods_) {
+      std::scoped_lock shard(state->mu);
+      if (state->park_head != nullptr) {
+        exclusive_abort("a call is parked", "begin_exclusive");
+      }
+    }
+  }
+  excl_.owner.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  excl_.on.store(true, std::memory_order_release);
+  tl_exclusive_phases() += 1;
+}
+
+void AspectModerator::end_exclusive() {
+  if (!excl_.on.load(std::memory_order_acquire) ||
+      excl_.owner.load(std::memory_order_relaxed) !=
+          std::this_thread::get_id()) {
+    exclusive_abort("no phase owned by the calling thread", "end_exclusive");
+  }
+  if (excl_.admitted != 0) {
+    exclusive_abort("a call admitted in the phase has not completed",
+                    "end_exclusive");
+  }
+  {
+    std::scoped_lock serial(barrier_serial_mu_);
+    excl_.on.store(false, std::memory_order_release);
+  }
+  excl_cv_.notify_all();
+  tl_exclusive_phases() -= 1;
 }
 
 // --- stall watchdog --------------------------------------------------------
@@ -861,20 +972,22 @@ void AspectModerator::preactivation_async(ParkedCall& call) {
     call.persona = &concurrency::Persona::current();
   }
   InvocationContext& ctx = *call.ctx;
+  const bool exclusive = exclusive_call("preactivation_async");
   log_event("preactivation", ctx);
   // One lock-free attempt first, exactly like the synchronous entry.
   Decision fast{};
-  if (try_fast_admission(ctx, call.arrived, &fast)) {
+  if (!exclusive && try_fast_admission(ctx, call.arrived, &fast)) {
     settle_async(call, fast);
     return;
   }
-  async_attempt(call);
+  async_attempt(call, exclusive);
 }
 
 void AspectModerator::async_retry(concurrency::ProgressNode* node) {
   auto* call = static_cast<ParkedCall*>(node);
   call->state.store(ParkedCall::State::kIdle, std::memory_order_relaxed);
-  call->owner->async_attempt(*call);
+  AspectModerator& owner = *call->owner;
+  owner.async_attempt(*call, owner.exclusive_call("a parked call's retry"));
 }
 
 void AspectModerator::StopHook::operator()() const noexcept {
@@ -900,7 +1013,7 @@ void AspectModerator::settle_async(ParkedCall& call, Decision verdict) {
   call.settle.fire(verdict);
 }
 
-void AspectModerator::async_attempt(ParkedCall& call) {
+void AspectModerator::async_attempt(ParkedCall& call, bool exclusive) {
   InvocationContext& ctx = *call.ctx;
   stamp_arrival(ctx);
 
@@ -908,10 +1021,14 @@ void AspectModerator::async_attempt(ParkedCall& call) {
   // PARKED node holds neither burst, span nor lockers stake — that is what
   // makes it a cheap, sheddable queue entry the recomposition barrier can
   // drain past (the barrier transfers parked nodes, and their retries
-  // re-enter through the gate like any fresh arrival).
+  // re-enter through the gate like any fresh arrival). An exclusive-phase
+  // attempt registers no burst and admits with parity -1 (no span): a
+  // barrier can only run from the owner itself, between calls, because
+  // other threads' barriers wait for the phase to end.
   for (;;) {
-    const std::uint64_t burst_gen = enter_burst();
-    const int parity = burst_parity(burst_gen);
+    const std::uint64_t burst_gen =
+        exclusive ? gen_.load(std::memory_order_relaxed) : enter_burst();
+    const int parity = exclusive ? -1 : burst_parity(burst_gen);
     // Borrowed from this thread's cache slot, as on the fast path: hooks
     // may not call back into the moderator, so nothing in this attempt
     // displaces it. Only a call that parks pins a copy (call.mod).
@@ -959,8 +1076,15 @@ void AspectModerator::async_attempt(ParkedCall& call) {
         ctx.note_blocked();
         // Timed escapes, checked after this (re-)evaluation: a chain that
         // passes at its deadline still admits (PROTOCOL §3.2). A waiter
-        // whose deadline or stop fires unparks its node to get here.
-        if (ctx.deadline() && now_fast() >= *ctx.deadline()) {
+        // whose deadline or stop fires unparks its node to get here. In an
+        // exclusive phase no other thread runs, so nothing could ever
+        // release the call: it times out at once.
+        if (exclusive) {
+          verdict = Decision::kAbort;
+          ctx.set_abort_error(runtime::make_error(
+              ErrorCode::kTimeout,
+              "blocked in an exclusive phase: nothing can release it"));
+        } else if (ctx.deadline() && now_fast() >= *ctx.deadline()) {
           verdict = Decision::kAbort;
           ctx.set_abort_error(runtime::make_error(
               ErrorCode::kTimeout, "deadline expired during preactivation"));
@@ -1015,6 +1139,11 @@ void AspectModerator::async_attempt(ParkedCall& call) {
         book_refusal(cc, ms, ctx);
         return Att::kSettled;
       }
+      if (exclusive) {
+        // Nothing waited, so the arrival stamp is the admission stamp.
+        commit_admission(*mod, ctx, ctx.enqueued_at(), parity);
+        return Att::kSettled;
+      }
       spans_[static_cast<std::size_t>(parity)].fetch_add(
           1, std::memory_order_seq_cst);
       commit_admission(*mod, ctx, now_fast(), parity);
@@ -1025,25 +1154,24 @@ void AspectModerator::async_attempt(ParkedCall& call) {
     // shard set BEFORE locking, then drain open fast windows under the
     // locks before any hook runs. Skipped entirely while no fast-capable
     // aspect exists (dekker: loaded AFTER enter_burst, so the arming
-    // barrier's gen flip orders this section after the store).
+    // barrier's gen flip orders this section after the store). An
+    // exclusive phase locks zero shards and skips the handshake.
     Att att;
-    const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
-    if (dekker) lockers_add(mod->eval_shards.data(), mod->eval_shards.size());
-    if (mod->eval_shards.size() == 1) {
+    const std::size_t nshards = exclusive ? 0 : mod->eval_shards.size();
+    const bool dekker =
+        !exclusive && dekker_arming_.load(std::memory_order_seq_cst);
+    if (dekker) lockers_add(mod->eval_shards.data(), nshards);
+    if (nshards == 1) {
       std::scoped_lock lk(ms.mu);
-      if (dekker) {
-        drain_fast_windows(mod->eval_shards.data(), mod->eval_shards.size());
-      }
+      if (dekker) drain_fast_windows(mod->eval_shards.data(), nshards);
       att = attempt();
     } else {
-      LockSet locks(mod->eval_shards.data(), mod->eval_shards.size());
-      if (dekker) {
-        drain_fast_windows(mod->eval_shards.data(), mod->eval_shards.size());
-      }
+      LockSet locks(mod->eval_shards.data(), nshards);
+      if (dekker) drain_fast_windows(mod->eval_shards.data(), nshards);
       att = attempt();
     }
-    if (dekker) lockers_sub(mod->eval_shards.data(), mod->eval_shards.size());
-    exit_burst(parity);
+    if (dekker) lockers_sub(mod->eval_shards.data(), nshards);
+    if (!exclusive) exit_burst(parity);
     if (att == Att::kRecompose) continue;
     if (att == Att::kParked) return;
     // Safe point: no burst, no span. Admitted callers defer their drain
@@ -2050,7 +2178,11 @@ void AspectModerator::commit_admission(const Moderation& mod,
   if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
   ctx.set_admitted_chain(mod.chain.get());
   ctx.set_moderation_hint(&mod);
-  adopt_span(ctx, parity);
+  if (parity >= 0) {
+    adopt_span(ctx, parity);
+  } else {
+    excl_.admitted += 1;  // an exclusive-phase admission opens no span
+  }
   mod.self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
   log_event("admitted", ctx);
 }

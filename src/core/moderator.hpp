@@ -243,6 +243,54 @@ class AspectModerator {
     return parked_.load(std::memory_order_relaxed);
   }
 
+  /// Moderation bursts currently registered, both parities (racy;
+  /// diagnostics).
+  std::int64_t open_bursts() const {
+    return bursts_[0].load(std::memory_order_relaxed) +
+           bursts_[1].load(std::memory_order_relaxed);
+  }
+
+  /// The calling thread's open spans of this moderator.
+  std::int64_t own_open_spans() const { return own_spans(0) + own_spans(1); }
+
+  // --- exclusive phase (DESIGN.md §15.5, PROTOCOL.md §9) ------------------
+
+  /// Starts an exclusive phase owned by the calling thread. Until
+  /// end_exclusive(), the owner's calls run the same compiled chains and
+  /// hooks, in the same order, through the locked admission loop and
+  /// postactivation, minus the work that only guards against other
+  /// threads: the fast attempt, the batch branch, bursts, spans, the
+  /// Dekker traffic, every shard mutex and two of three clock reads. A
+  /// call that would block fails at once with kTimeout, because nothing
+  /// else runs to release it. Aborts the process with a message unless
+  /// the moderator is quiescent: no burst, span, parked call or batch
+  /// request, no shutdown and no phase already active.
+  ///
+  /// During the phase a pre- or post-activation from any other thread
+  /// aborts the process with a message, and a recomposition barrier run
+  /// from another thread (e.g. a health prober's fallback swap) waits for
+  /// the phase to end.
+  void begin_exclusive();
+  /// Ends the calling thread's phase. Aborts unless this thread began it
+  /// and every call admitted inside it has completed.
+  void end_exclusive();
+
+  /// Scoped exclusive phase: begins on construction and ends on every exit
+  /// path. Both durable apps recover inside one, in open().
+  class ExclusivePhase {
+   public:
+    explicit ExclusivePhase(AspectModerator& moderator)
+        : moderator_(moderator) {
+      moderator_.begin_exclusive();
+    }
+    ~ExclusivePhase() { moderator_.end_exclusive(); }
+    ExclusivePhase(const ExclusivePhase&) = delete;
+    ExclusivePhase& operator=(const ExclusivePhase&) = delete;
+
+   private:
+    AspectModerator& moderator_;
+  };
+
  private:
   /// Atomic mirror of MethodStats. Relaxed updates: the optimistic fast
   /// path bumps counters without the shard mutex, and exact cross-field
@@ -431,10 +479,26 @@ class AspectModerator {
                     InvocationContext& ctx);
   // The commit of every non-batch admission, under the evaluating locks (or
   // a validated fast window): entry hooks, admitted chain, moderation hint,
-  // the thread-local half of the span (the caller already counted spans_),
-  // stats and the `admitted` event.
+  // the thread-local half of the span (the caller already counted spans_;
+  // parity -1 is an exclusive-phase admission, which opens no span), stats
+  // and the `admitted` event.
   void commit_admission(const Moderation& mod, InvocationContext& ctx,
                         runtime::TimePoint admitted_at, int parity);
+
+  // The one load of the phase flag that every pre- and post-activation
+  // pays. Inside a phase it aborts unless the caller owns the phase;
+  // `where` names the entry point in the message.
+  bool exclusive_call(const char* where) const {
+    if (!excl_.on.load(std::memory_order_acquire)) return false;
+    if (excl_.owner.load(std::memory_order_relaxed) !=
+        std::this_thread::get_id()) {
+      exclusive_abort("call from a thread that does not own the phase",
+                      where);
+    }
+    return true;
+  }
+  [[noreturn]] static void exclusive_abort(const char* what,
+                                           const char* where);
 
   // --- optimistic fast path (DESIGN.md §11) -----------------------------
 
@@ -762,7 +826,9 @@ class AspectModerator {
   // caller's): each attempt is one burst under the eval shard locks, and
   // a kBlock verdict parks the node. Runs on the submitting thread (first
   // attempt) or on the thread draining the call's persona (retries).
-  void async_attempt(ParkedCall& call);
+  // `exclusive` (the caller's exclusive_call()) runs it without burst,
+  // span, Dekker traffic or shard lock, and turns a kBlock into kTimeout.
+  void async_attempt(ParkedCall& call, bool exclusive);
   // ProgressNode::fire of a transferred node: re-runs async_attempt.
   static void async_retry(concurrency::ProgressNode* node);
   // Terminal: unregisters the watchdog record, destroys the stop hook,
@@ -830,6 +896,19 @@ class AspectModerator {
   std::mutex bar_mu_;
   std::condition_variable bar_cv_;
   std::mutex barrier_serial_mu_;  // one barrier at a time
+
+  // Exclusive phase (see begin_exclusive). Its own cache line: every call
+  // loads `on`, and no hot counter may share the line it reads.
+  struct alignas(64) ExclusiveState {
+    std::atomic<bool> on{false};
+    std::atomic<std::thread::id> owner{};  // stored before `on` is set
+    // Owner-only: calls admitted inside the phase and not yet completed.
+    std::int64_t admitted = 0;
+  };
+  ExclusiveState excl_;
+  // Other threads' barriers wait here, under barrier_serial_mu_, for the
+  // phase to end.
+  std::condition_variable excl_cv_;
 
   // Watchdog registry of currently blocked waiters (only populated when
   // the watchdog is enabled). stalls_mu_ is a leaf like fault_mu_.

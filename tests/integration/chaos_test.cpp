@@ -11,6 +11,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <stop_token>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -72,6 +82,30 @@ class ChaoticAspect final : public core::Aspect {
 
 struct Dummy {};
 
+// Fails a case that is still running after `limit`: runs `dump`, records a
+// gtest failure and aborts the binary. A hung case then names its stuck
+// call in the test output instead of running silently into ctest's
+// timeout. Destroying the timer disarms it.
+class CaseTimer {
+ public:
+  CaseTimer(std::chrono::seconds limit, std::function<void()> dump)
+      : thread_([this, limit, dump = std::move(dump)](std::stop_token st) {
+          std::unique_lock lk(mu_);
+          cv_.wait_for(lk, st, limit, [] { return false; });
+          if (st.stop_requested()) return;
+          dump();
+          ADD_FAILURE() << "case still running after " << limit.count()
+                        << " s; aborting before the ctest timeout";
+          std::fflush(stdout);
+          std::abort();
+        }) {}
+
+ private:
+  std::mutex mu_;
+  std::condition_variable_any cv_;
+  std::jthread thread_;  // last: joins before mu_ and cv_ are destroyed
+};
+
 class ChaosSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ChaosSweep, ProtocolHoldsUnderRandomConcernGraphs) {
@@ -79,7 +113,44 @@ TEST_P(ChaosSweep, ProtocolHoldsUnderRandomConcernGraphs) {
   runtime::EventLog log;
   core::ModeratorOptions options;
   options.log = &log;
+  // Report-only stall watchdog: a waiter still blocked 50 ms past its
+  // deadline is logged as a "stall:" event naming its method, the guard
+  // that blocked it and its chain. It evicts nothing.
+  core::WatchdogOptions watchdog;
+  watchdog.poll = std::chrono::milliseconds(50);
+  options.watchdog = watchdog;
   core::ComponentProxy<Dummy> proxy{Dummy{}, options};
+  // Well under ctest's 120 s for the whole binary; a case takes well under
+  // a second in a release build and a few seconds under TSan.
+  const CaseTimer timer(std::chrono::seconds(30), [&] {
+    std::printf("ChaosSweep %d methods x %d aspects: moderator report\n%s",
+                methods_n, aspects_per_method,
+                proxy.moderator().report().c_str());
+    std::printf("blocked_waiters=%llu\n",
+                static_cast<unsigned long long>(
+                    proxy.moderator().blocked_waiters()));
+    for (const auto& e : log.by_category("watchdog")) {
+      std::printf("invocation %llu: %s\n",
+                  static_cast<unsigned long long>(e.invocation_id),
+                  e.message.c_str());
+    }
+    // Calls with no verdict yet, by their last protocol event: a stuck
+    // call that never parked leaves no stall record but shows up here.
+    std::map<std::uint64_t, std::string> unsettled;
+    for (const auto& e : log.by_category("moderator")) {
+      const std::string_view msg = e.message;
+      if (msg.starts_with("postactivation:") || msg.starts_with("abort:") ||
+          msg.starts_with("timeout:") || msg.starts_with("cancelled:")) {
+        unsettled.erase(e.invocation_id);
+      } else {
+        unsettled[e.invocation_id] = e.message;
+      }
+    }
+    for (const auto& [id, last] : unsettled) {
+      std::printf("invocation %llu unsettled, last event %s\n",
+                  static_cast<unsigned long long>(id), last.c_str());
+    }
+  });
 
   std::vector<MethodId> methods;
   std::vector<std::shared_ptr<ChaoticAspect>> chaotics;

@@ -286,6 +286,28 @@ TEST_F(PersistenceTest, TicketReplayRejectsAMalformedIdNote) {
   EXPECT_EQ(app.error().code, ErrorCode::kCorrupted);
 }
 
+TEST_F(PersistenceTest, OutOfOrderTicketLogFailsAtOnce) {
+  // An assign logged before any open cannot be re-run: replaying it would
+  // block on an empty buffer, and nothing during recovery could release
+  // it. Recovery must report the damage at once (DESIGN.md §15.5), not
+  // after waiting out the replay deadline.
+  storage::CommitRecord assign;
+  assign.invocation_id = 1;
+  assign.method = std::string(apps::ticket::assign_method().name());
+  assign.principal = "oncall";
+  write_log_of(assign);
+  DurableTicketApp::Options options;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto app = DurableTicketApp::open(dir(), options);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  ASSERT_FALSE(app.ok());
+  EXPECT_EQ(app.error().code, ErrorCode::kCorrupted);
+  EXPECT_LT(took, options.replay_deadline / 5)
+      << "open() took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms to reject the log";
+}
+
 TEST_F(PersistenceTest, AuctionReplayRejectsAMalformedReserveNote) {
   using apps::auction::DurableAuctionApp;
   // "12x" is not a reserve price: no item may be listed at 12.

@@ -1,7 +1,10 @@
 // Proves the DESIGN.md §15.5 bounded-memory claim as a test: recovery
 // streams the log. A scan or a recovery pass allocates a fixed number of
 // times (directory listing, one segment buffer, one reused record), so a
-// 4096-record log costs the same allocations as a 64-record one.
+// 4096-record log costs the same allocations as a 64-record one. The same
+// holds for DurableTicketApp::open, which replays every record through the
+// moderated proxy inside an exclusive phase: a replayed call allocates
+// nothing.
 //
 // The counter replaces global operator new for this binary only, as in
 // hotpath_alloc_test. gtest and the log writer allocate freely, so the
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/ticket/durable_ticket.hpp"
 #include "storage/codec.hpp"
 #include "storage/recovery.hpp"
 #include "storage/storage.hpp"
@@ -159,6 +163,40 @@ std::uint64_t recover_allocs(const std::string& dir, std::uint64_t expect) {
   return allocs;
 }
 
+/// A fresh directory holding a ticket log of `n` commits, written by the
+/// durable app itself. Opens and assigns alternate, so replay never blocks,
+/// and every string fits the small-string buffer: the count then isolates
+/// the replay path from the component's own copies of long strings.
+std::string write_ticket_log(const fs::path& root, std::uint64_t n) {
+  const std::string dir = (root / ("tickets-" + std::to_string(n))).string();
+  auto app = apps::ticket::DurableTicketApp::open(dir);
+  EXPECT_TRUE(app.ok()) << app.error().to_string();
+  apps::ticket::Ticket t;
+  t.description = "printer jam";
+  t.opened_by = "night shift";
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    if (i % 2 == 1) {
+      t.id = i;
+      EXPECT_TRUE(app.value()->open_ticket(t).ok());
+    } else {
+      EXPECT_TRUE(app.value()->assign_ticket().ok());
+    }
+  }
+  EXPECT_TRUE(app.value()->sync().ok());
+  return dir;
+}
+
+/// Allocations made by one DurableTicketApp::open over `dir`: storage,
+/// proxy, composition, and the replay of every record through the proxy.
+std::uint64_t ticket_open_allocs(const std::string& dir, std::uint64_t expect) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  auto app = apps::ticket::DurableTicketApp::open(dir);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(app.ok()) << app.error().to_string();
+  EXPECT_EQ(app.value()->recovery_stats().replayed, expect);
+  return allocs;
+}
+
 TEST_F(RecoveryAllocTest, ScanAllocationsDoNotGrowWithTheLog) {
   const std::string small = write_log(kSmall);
   const std::string large = write_log(kLarge);
@@ -177,6 +215,16 @@ TEST_F(RecoveryAllocTest, RecoverAllocationsDoNotGrowWithTheLog) {
   EXPECT_LE(spread(a_small, a_large), kSlack)
       << "recover allocated " << a_small << " times for " << kSmall
       << " records and " << a_large << " times for " << kLarge;
+}
+
+TEST_F(RecoveryAllocTest, TicketAppReplayAllocatesNothingPerRecord) {
+  const std::string small = write_ticket_log(dir_, kSmall);
+  const std::string large = write_ticket_log(dir_, kLarge);
+  const std::uint64_t a_small = ticket_open_allocs(small, kSmall);
+  const std::uint64_t a_large = ticket_open_allocs(large, kLarge);
+  EXPECT_LE(spread(a_small, a_large), kSlack)
+      << "DurableTicketApp::open allocated " << a_small << " times for "
+      << kSmall << " commits and " << a_large << " times for " << kLarge;
 }
 
 }  // namespace
