@@ -75,7 +75,7 @@ class DurableTicketApp {
     runtime::HealthRegistry* health = nullptr;
     /// Background checkpoint period (0 = none). Checkpoints run on their
     /// own thread through the moderated checkpoint method, so they are
-    /// coherent without ever blocking the combiner or the fast path.
+    /// coherent without ever blocking the fast path.
     runtime::Duration checkpoint_interval{0};
   };
 
@@ -138,8 +138,8 @@ class DurableTicketApp {
   /// under live traffic — the exclusion writer slot supplies quiescence.
   runtime::Result<storage::Lsn> checkpoint();
 
-  /// Coordinated shutdown: quiesce intake, flush the batch combiner, wait
-  /// for in-flight spans, sync, publish a final snapshot. The moderator is
+  /// Coordinated shutdown: quiesce intake, wake every waiter, wait for
+  /// in-flight spans, sync, publish a final snapshot. The moderator is
   /// unusable afterwards (every later call aborts kCancelled).
   runtime::Result<storage::DrainReport> drain(
       runtime::Duration timeout = std::chrono::seconds(5));

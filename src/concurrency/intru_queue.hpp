@@ -1,26 +1,23 @@
 // IntruQueue: intrusive multi-producer / single-consumer queue.
 //
-// The batch-moderation layer (DESIGN.md §14) queues pending admission
-// requests on stack-allocated nodes: callers link their own request into a
-// shared list with one lock-free push, and the elected combiner drains the
-// whole list under its single shard-set acquisition. The queue therefore
-// owns NOTHING — nodes are embedded in their producers' stack frames and
-// carry their own link field — and the drain hands back the nodes in FIFO
-// (push) order, which is what gives batched admission its documented
-// arrival ordering.
+// The ready queue of a Persona (progress.hpp, DESIGN.md §18.1): any thread
+// hands a continuation node to a persona with one lock-free push, and the
+// persona's owner drains the whole list at once. The queue owns NOTHING —
+// nodes are embedded in their producers' frames (a parked call's
+// ParkedCall, an async call frame) and carry their own link field — and
+// the drain hands back the nodes in FIFO (push) order, so continuations
+// fire in the order they were enqueued.
 //
 // Concurrency contract:
 //   * push(): any thread, lock-free (one CAS loop on the head).
-//   * take_all() / empty(): any thread, but the caller must guarantee it
-//     is the only consumer at that moment (the moderator's combiner token
-//     serves as that guarantee). take_all() transfers ownership of every
-//     node it returns; the producer must not touch a pushed node again
-//     until the consumer hands it back through its own protocol.
+//   * take_all(): only the single consumer (the persona's owner thread).
+//     It transfers ownership of every node it returns; the producer must
+//     not touch a pushed node again.
+//   * empty(): any thread; racy by nature.
 //
-// All operations are seq_cst: the moderator's combiner-handoff proof
-// (clear the token, then re-check empty()) argues in the seq_cst total
-// order, and this queue is nowhere near hot enough for the fence to
-// matter (one push per *blocking* admission).
+// All operations are seq_cst: the persona doorbell's Dekker pair (push,
+// then load `sleeping_`; store `sleeping_`, then re-check empty()) argues
+// in the seq_cst total order.
 #pragma once
 
 #include <atomic>
@@ -64,8 +61,8 @@ class IntruQueue {
     return fifo;
   }
 
-  /// True when nothing is queued. Racy by nature; the combiner handoff
-  /// protocol (release token, then re-check) makes the race benign.
+  /// True when nothing is queued. Racy by nature; the persona doorbell's
+  /// re-check after raising `sleeping_` makes the race benign.
   bool empty() const {
     return head_.load(std::memory_order_seq_cst) == nullptr;
   }

@@ -91,12 +91,8 @@ using CompiledChain = std::shared_ptr<const CompiledChainData>;
 /// an exclusion group) is the only bank-visible channel through which one
 /// method's entry/postaction can change another method's guard verdict.
 ///
-/// The lock group is also the amortization unit of batch moderation
-/// (DESIGN.md §14): a multi-method group is what makes a write-side
-/// admission pay for several shard locks, so exactly those methods'
-/// admissions are queued and drained by one combiner under a single
-/// acquisition of the group's shard set. Single-method groups (nullptr
-/// here) never batch — one lock is already the floor.
+/// A multi-method group is what makes a write-side admission pay for
+/// several shard locks; single-method groups (nullptr here) pay one.
 using LockGroup = std::shared_ptr<const std::vector<runtime::MethodId>>;
 
 /// Thread-safe registry of aspects per (method, kind).
@@ -215,12 +211,11 @@ class AspectBank {
   /// blocking aspect of a chain can flip the method to non-blocking at the
   /// next epoch, and vice versa.
   ///
-  /// For the moderator's §11 Dekker handshake, a batch-combiner drain over
-  /// this method's group counts as one LOCKED section: the combiner raises
-  /// the same lockers count the classic slow path does before touching
-  /// shared guard state, so fast-path callers of a non-blocking sibling
-  /// method still serialize with batched admissions exactly as they would
-  /// with a single locked caller.
+  /// For the moderator's §11 Dekker handshake, every locked section over
+  /// this method's shards (an admission attempt, a parked call's retry, a
+  /// completion) raises the shards' lockers count before touching shared
+  /// guard state, so fast-path callers of a non-blocking sibling method
+  /// serialize with it exactly as they would with any single locked caller.
   bool nonblocking(runtime::MethodId method) const;
 
   /// True when the current composition classifies at least one REGISTERED

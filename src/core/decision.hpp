@@ -17,15 +17,6 @@ enum class Decision {
   kAbort,   // the invocation must not run (e.g. failed authentication)
 };
 
-/// True when a chain verdict settles the invocation one way or the other
-/// (admit or veto); kBlock leaves it pending. This is the per-call contract
-/// batch moderation (DESIGN.md §14) must preserve: a combiner evaluates
-/// many queued calls under one lock acquisition but applies verdicts
-/// strictly per call — one call's kBlock parks only that call, one call's
-/// kAbort vetoes only that call, and a settled admission pairs entry hooks
-/// with that call's own chain (G4), never with a batch-shared one.
-constexpr bool settles(Decision d) { return d != Decision::kBlock; }
-
 /// Final outcome of a moderated invocation.
 enum class InvocationStatus {
   kCompleted,  // guards passed, functional method ran, postactions ran

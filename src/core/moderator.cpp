@@ -171,7 +171,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // family read enqueued_at/admitted_at.
   //
   // An exclusive phase (owner thread only; anyone else aborts here) skips
-  // steps 1 and 2: its admissions all take the stripped locked loop.
+  // step 1: its admissions all take the stripped locked loop.
   const bool exclusive = exclusive_call("preactivation");
   log_event("preactivation", ctx);
 
@@ -187,37 +187,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
     if (try_fast_admission(ctx, arrived, &fast)) return fast;
   }
 
-  // 2. Batch moderation (DESIGN.md §14): grouped no-plan admissions take
-  // the flat-combining path — enqueue, and either become the combiner
-  // (draining the whole batch under ONE all-shards acquisition) or sleep
-  // on the request's own cv slot until a leader settles it. Shutdown
-  // takes the park path, which owns the refusal semantics. The peek holds
-  // no burst, so every other admission pays for exactly one per attempt.
-  while (!exclusive && cached_moderation(ctx.method())->batch_eligible &&
-         !shutdown_.load(std::memory_order_acquire)) {
-    stamp_arrival(ctx);
-    const std::uint64_t burst_gen = enter_burst();
-    const int parity = burst_parity(burst_gen);
-    // Owning copy: the owner sleeps with this record in hand, and the
-    // cache slot it came from may be displaced while it does.
-    const std::shared_ptr<const Moderation> mod =
-        cached_moderation(ctx.method());
-    const Outcome out = mod->batch_eligible
-                            ? batch_moderate(ctx, mod, burst_gen, arrived)
-                            : Outcome::kRecompose;
-    exit_burst(parity);
-    if (out == Outcome::kRecompose) continue;
-    if (out == Outcome::kAborted) {
-      // Safe point: no burst, no span. Admitted callers defer their drain
-      // to the end of postactivation (their open span would deadlock a
-      // barrier run from this thread).
-      drain_quarantine();
-      return Decision::kAbort;
-    }
-    return Decision::kResume;
-  }
-
-  // 3. Everything else is an async admission of a ParkedCall on this
+  // 2. Everything else is an async admission of a ParkedCall on this
   // stack, bound to this thread's sync persona (see tl_sync_persona).
   concurrency::Persona& bell = tl_sync_persona();
   ParkedCall call;
@@ -231,7 +201,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   async_attempt(call, exclusive);
   if (verdict != Decision::kBlock) return verdict;  // never parked
 
-  // 4. Wait until the call settles. Every signal (completion, barrier,
+  // 3. Wait until the call settles. Every signal (completion, barrier,
   // shutdown, eviction, stop hook) arrives as an enqueue on `bell`; only
   // the deadline is ours to watch. When it passes, the waiter unparks its
   // own node, and the retry evaluates once more (PROTOCOL §3.2) before
@@ -438,11 +408,6 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
       log_event("postactivation", ctx);
       if (!exclusive) {
         for (auto* s : mod->completion_shards) transfer_parked_under_lock(*s);
-        // A completion is the canonical guard-state change: re-drive queued
-        // and parked batch admissions under the all-shards locks we already
-        // hold. If another thread owns the combiner token it is blocked on
-        // these very locks and re-evaluates after our release.
-        try_drain_batch_under_locks();
       }
     }
     if (dekker) {
@@ -491,10 +456,6 @@ void AspectModerator::shutdown() {
       transfer_parked_under_lock(*state);
     }
   }
-  // Dislodge queued/parked batch admissions: flushed owners re-enter and,
-  // with the flag now set, take the park path, which refuses with
-  // kCancelled.
-  flush_batch_requests();
   // Gate-parked arrivals check the shutdown flag in their wait predicate.
   signal_barrier();
 }
@@ -509,13 +470,10 @@ MethodStats AspectModerator::stats(runtime::MethodId method) const {
 }
 
 std::uint64_t AspectModerator::blocked_waiters() const {
-  // Parked calls (sync waiters and async frames alike) plus batch
-  // parkings; neither counter is ever negative. Both dip transiently while
-  // a node is between a transfer and its retry's re-park; racy
-  // diagnostics.
-  return static_cast<std::uint64_t>(
-      parked_.load(std::memory_order_relaxed) +
-      combiner_.parked.load(std::memory_order_relaxed));
+  // Parked calls, sync waiters and async frames alike; never negative. It
+  // dips transiently while a node is between a transfer and its retry's
+  // re-park; racy diagnostics.
+  return static_cast<std::uint64_t>(parked_.load(std::memory_order_relaxed));
 }
 
 std::string AspectModerator::report() const {
@@ -781,11 +739,6 @@ void AspectModerator::recompose_barrier() {
   // new side).
   const std::uint64_t g = gen_.fetch_add(1, std::memory_order_seq_cst);
   const auto old_parity = static_cast<std::size_t>(burst_parity(g));
-  // Dislodge batch-moderation requests FIRST, while holding no registry or
-  // shard lock: parked owners hold old-parity bursts open, and an active
-  // combiner (whose drain holds registry + shards) must be able to finish
-  // while we spin for the token.
-  flush_batch_requests();
   // Transfer every parked call. Parked nodes hold no burst and no span,
   // so the drain below never waits on them — but their pinned Moderation
   // records are stale after this flip; the retries re-enter through the
@@ -849,10 +802,6 @@ void AspectModerator::begin_exclusive() {
     refusal = "an admitted call has not completed";
   } else if (parked_.load(std::memory_order_relaxed) != 0) {
     refusal = "a call is parked";
-  } else if (combiner_.active.load(std::memory_order_seq_cst) ||
-             combiner_.parked.load(std::memory_order_relaxed) != 0 ||
-             !combiner_.pending.empty()) {
-    refusal = "a batch request is queued or parked";
   }
   if (refusal != nullptr) exclusive_abort(refusal, "begin_exclusive");
   // Lock each shard once: every earlier locked section happens-before the
@@ -953,8 +902,7 @@ std::size_t AspectModerator::scan_stalls() {
       }
     }
     if (watchdog_->abort_stalled) {
-      // The retry of the unparked node aborts with kDeadlineExceeded; a
-      // batch owner polls the flag itself.
+      // The retry of the unparked node aborts with kDeadlineExceeded.
       rec->evicted.store(true, std::memory_order_release);
       std::scoped_lock shard(rec->shard->mu);
       if (rec->parked != nullptr) unpark_under_lock(*rec->parked);
@@ -1063,6 +1011,13 @@ void AspectModerator::async_attempt(ParkedCall& call, bool exclusive) {
             ErrorCode::kDeadlineExceeded,
             "evicted by stall watchdog while blocked"));
       } else {
+        // Deterministic chaos point under the eval-shard locks: a seeded
+        // kDelay stretches the critical section before the guards run,
+        // widening the windows in which waiters time out, stop requests
+        // land and barriers flip the gate (batch_chaos_test).
+        if (AMF_FAULT_FIRE(fault_, FaultPoint::kDelay)) {
+          std::this_thread::sleep_for(fault_->delay(FaultPoint::kDelay));
+        }
         // A gen move means a recomposition barrier is (or was) draining
         // this burst's side; fall out so the barrier can complete.
         if (gen_.load(std::memory_order_seq_cst) != burst_gen ||
@@ -1324,13 +1279,6 @@ AspectModerator::moderation_for(runtime::MethodId method) {
   mod->fast_eligible =
       chain_nonblocking && !mod->has_plan && !wake_target &&
       (mod->chain->empty() || dekker_armed_.load(std::memory_order_seq_cst));
-  // Batch eligibility (DESIGN.md §14): grouped no-plan methods whose
-  // completion broadcast is the all-shards set — exactly the records for
-  // which ONE moderator-wide combiner covers every coupled guard. Wake
-  // targets keep the shard park list (their plans promise a directed
-  // signal) and single-shard moderators have nothing to combine.
-  mod->batch_eligible =
-      !mod->has_plan && !wake_target && mod->completion_shards.size() > 1;
   moderation_cache_[method] = mod;
   return mod;
 }
@@ -1554,563 +1502,6 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   close_span(ctx);
   drain_quarantine();
   return true;
-}
-
-// --- batch moderation / flat combining (DESIGN.md §14) ---------------------
-
-void AspectModerator::finish_batch_node(BatchRequest& n,
-                                        BatchRequest::State to) {
-  // Terminal store + notify under the node's mutex: the owner's final
-  // lock/unlock of the same mutex serializes its frame destruction after
-  // our last touch. Nothing may touch the node past this function.
-  std::scoped_lock lk(n.mu);
-  n.state.store(to, std::memory_order_seq_cst);
-  n.cv.notify_all();
-}
-
-void AspectModerator::detach_batch_node(BatchRequest& n) {
-  std::scoped_lock lk(n.mu);
-  n.detached = true;
-  n.cv.notify_all();
-}
-
-void AspectModerator::settle_batch_node(BatchRequest& n,
-                                        BatchRequest::State observed,
-                                        BatchRequest::State to) {
-  std::scoped_lock lk(n.mu);
-  if (n.state.compare_exchange_strong(observed, to,
-                                      std::memory_order_seq_cst)) {
-    n.cv.notify_all();
-    return;
-  }
-  // Only the owner moves a node to kClaimed; hand it back.
-  n.detached = true;
-  n.cv.notify_all();
-}
-
-bool AspectModerator::try_claim_batch_node(BatchRequest& n) {
-  using State = BatchRequest::State;
-  State cur = n.state.load(std::memory_order_seq_cst);
-  while (cur == State::kPending || cur == State::kParked) {
-    if (n.state.compare_exchange_weak(cur, State::kClaimed,
-                                      std::memory_order_seq_cst)) {
-      return true;
-    }
-  }
-  return false;  // a combiner verdict is committed or imminent
-}
-
-void AspectModerator::park_batch_node(BatchRequest& n,
-                                      BatchRequest::State observed) {
-  using State = BatchRequest::State;
-  auto link = [&] {
-    n.next = nullptr;
-    if (combiner_.parked_tail != nullptr) {
-      combiner_.parked_tail->next = &n;
-    } else {
-      combiner_.parked_head = &n;
-    }
-    combiner_.parked_tail = &n;
-    combiner_.parked.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (observed == State::kParked) {
-    // Re-evaluated, still blocked: relink only. (A concurrent claimer is
-    // benign — it spins for the token, and the next drain it or anyone
-    // runs splices the list and detaches the claimed node.)
-    link();
-    return;
-  }
-  // First park. The stall record is built and registered BEFORE the state
-  // flips: the owner reads it only after observing kParked (or detached,
-  // via the node mutex), so it always finds the record complete. The
-  // combiner builds it because the owner must not touch ctx notes while
-  // the node is shared.
-  if (watchdog_) {
-    n.stall_rec = make_stall_record(*n.ctx, *n.mod->compiled, *n.mod->self);
-  }
-  bool parked;
-  {
-    std::scoped_lock lk(n.mu);
-    State expect = State::kPending;
-    parked = n.state.compare_exchange_strong(expect, State::kParked,
-                                             std::memory_order_seq_cst);
-    if (!parked) n.detached = true;  // owner claimed mid-evaluation
-    n.cv.notify_all();
-  }
-  if (!parked) return;
-  n.mod->self->stats.block_events.fetch_add(1, std::memory_order_relaxed);
-  log_event("blocked", *n.ctx);
-  link();
-}
-
-bool AspectModerator::process_batch_node(BatchRequest& n) {
-  using State = BatchRequest::State;
-  const State observed = n.state.load(std::memory_order_seq_cst);
-  if (observed == State::kClaimed) {
-    detach_batch_node(n);
-    return false;
-  }
-  InvocationContext& ctx = *n.ctx;
-  const CompiledChainData& cc = *n.mod->compiled;
-
-  // Deterministic chaos point INSIDE the combiner loop: a seeded kDelay
-  // stretches the drain's critical section per node, hammering the
-  // parking and handoff protocols in the chaos suite.
-  if (AMF_FAULT_FIRE(fault_, FaultPoint::kDelay)) {
-    std::this_thread::sleep_for(fault_->delay(FaultPoint::kDelay));
-  }
-
-  // The world moved under this node — shutdown, a recomposition flip past
-  // its burst registration, or a new composition epoch. Hand it back: the
-  // owner re-resolves (or aborts through the park path on shutdown).
-  if (shutdown_.load(std::memory_order_acquire) ||
-      gen_.load(std::memory_order_seq_cst) != n.burst_gen ||
-      bank_.version() != n.mod->epoch) {
-    settle_batch_node(n, observed, State::kRetry);
-    return false;
-  }
-
-  // G1/G5: the shed below runs on_cancel, so arrive first.
-  arrive_once(cc, ctx, *n.arrived);
-
-  // Overload shedding (§12) of queued-but-expired entries: spend no guard
-  // evaluation on a call whose deadline already passed while it waited.
-  if (ctx.deadline() && clock_->now() >= *ctx.deadline()) {
-    State expect = observed;
-    if (!n.state.compare_exchange_strong(expect, State::kProcessing,
-                                         std::memory_order_seq_cst)) {
-      detach_batch_node(n);  // owner claimed concurrently
-      return false;
-    }
-    ctx.set_abort_error(runtime::make_error(
-        ErrorCode::kTimeout, "deadline expired during preactivation"));
-    book_refusal(cc, *n.mod->self, ctx);
-    finish_batch_node(n, State::kAborted);
-    return true;  // the cancel may have released guard state
-  }
-
-  const Decision verdict = evaluate_chain_under_locks(cc, ctx);
-  if (!settles(verdict)) {
-    ctx.note_blocked();
-    park_batch_node(n, observed);
-    return false;
-  }
-
-  State expect = observed;
-  if (!n.state.compare_exchange_strong(expect, State::kProcessing,
-                                       std::memory_order_seq_cst)) {
-    detach_batch_node(n);  // owner claimed mid-evaluation
-    return false;
-  }
-
-  if (verdict == Decision::kAbort) {
-    book_refusal(cc, *n.mod->self, ctx);
-    finish_batch_node(n, State::kAborted);
-    return true;
-  }
-
-  // Admission: the classic commit sequence, run on the owner's behalf.
-  // The spans_ increment at the node's own parity is covered by the
-  // OWNER's still-open burst (it exits only after batch_moderate returns),
-  // so a draining barrier can never complete under this span before the
-  // owner adopts it on wake.
-  ctx.set_admitted_at(now_fast());
-  if (cc.any_entry || fault_ != nullptr) {
-    for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
-  }
-  if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
-  ctx.set_admitted_chain(n.mod->chain.get());
-  ctx.set_moderation_hint(n.mod);
-  const int parity = burst_parity(n.burst_gen);
-  spans_[static_cast<std::size_t>(parity)].fetch_add(
-      1, std::memory_order_seq_cst);
-  n.span_parity = parity;
-  n.mod->self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
-  log_event("admitted", ctx);
-  finish_batch_node(n, State::kAdmitted);
-  return true;
-}
-
-void AspectModerator::drain_batch_under_locks() {
-  for (;;) {
-    // Splice the parked list (token-guarded) and append the queue's FIFO
-    // take: parked requests re-evaluate in original arrival order, fresh
-    // ones after them — batched admission order is park-FIFO then
-    // push-FIFO (documented in DESIGN.md §14).
-    BatchRequest* head = combiner_.parked_head;
-    BatchRequest* tail = combiner_.parked_tail;
-    combiner_.parked_head = nullptr;
-    combiner_.parked_tail = nullptr;
-    combiner_.parked.store(0, std::memory_order_relaxed);
-    BatchRequest* fresh = combiner_.pending.take_all();
-    if (head == nullptr) {
-      head = fresh;
-    } else {
-      tail->next = fresh;
-    }
-    if (head == nullptr) return;
-    bool progress = false;
-    while (head != nullptr) {
-      BatchRequest* next = head->next;
-      head->next = nullptr;
-      if (process_batch_node(*head)) progress = true;
-      head = next;
-    }
-    // Re-evaluate parked guards only while settlements keep changing
-    // aspect state; a no-progress round is a fixed point.
-    if (!progress) return;
-    // Quarantine safe point: stop re-driving and let the initiating
-    // caller run the barrier; parked nodes are flushed and re-driven by
-    // it. Every processed node was individually settled, parked or
-    // detached, so stopping between rounds strands nothing.
-    if (quarantine_pending_.load(std::memory_order_acquire)) return;
-  }
-}
-
-void AspectModerator::combiner_drain(const Moderation& mod) {
-  // Token held. Resolve the all-shards set through `mod`; when the record
-  // no longer matches the live composition or shard map, flush the whole
-  // batch — every owner re-resolves and comes back (or takes the park
-  // path under shutdown).
-  std::shared_lock registry(registry_mu_);
-  if (mod.shard_rev != shard_rev_.load(std::memory_order_relaxed) ||
-      bank_.version() != mod.epoch ||
-      shutdown_.load(std::memory_order_acquire)) {
-    registry.unlock();
-    flush_batch_locked();
-    return;
-  }
-  MethodState* const* shards = mod.completion_shards.data();
-  const std::size_t count = mod.completion_shards.size();
-  // The combiner counts as a locked section for the §11 Dekker handshake:
-  // elevate lockers across the whole drain and close open fast windows
-  // before any hook runs.
-  const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
-  if (dekker) lockers_add(shards, count);
-  {
-    LockSet locks(shards, count);
-    if (dekker) drain_fast_windows(shards, count);
-    drain_batch_under_locks();
-  }
-  if (dekker) lockers_sub(shards, count);
-}
-
-void AspectModerator::drain_as_combiner(const Moderation& mod) {
-  // Clear-then-recheck handoff: whoever CLEARS the token must either see
-  // an empty queue afterwards or re-drain; an exchange returning true
-  // proves another holder exists, and that holder carries the same
-  // obligation. In the seq_cst total order a push that observed the token
-  // taken (and sent its owner to sleep) is either in the holder's
-  // take_all or visible to its post-clear empty() check — no node is
-  // stranded between a sleeping owner and a retired combiner.
-  for (;;) {
-    const std::uint64_t d = combiner_.dirty.load(std::memory_order_seq_cst);
-    if (combiner_.active.exchange(true, std::memory_order_seq_cst)) return;
-    combiner_drain(mod);
-    combiner_.active.store(false, std::memory_order_seq_cst);
-    if (combiner_.pending.empty() &&
-        combiner_.dirty.load(std::memory_order_seq_cst) == d) {
-      return;
-    }
-  }
-}
-
-void AspectModerator::spin_drain_as_combiner(const Moderation& mod) {
-  // Blocking variant: the caller needs a full drain to have happened
-  // after this point (parked owner's forced re-evaluation, claimer's
-  // detach guarantee). Token sections never sleep on anything we hold —
-  // we hold no locks here — so the spin is bounded by one drain.
-  const std::uint64_t d = combiner_.dirty.load(std::memory_order_seq_cst);
-  while (combiner_.active.exchange(true, std::memory_order_seq_cst)) {
-    std::this_thread::yield();
-  }
-  combiner_drain(mod);
-  combiner_.active.store(false, std::memory_order_seq_cst);
-  if (!combiner_.pending.empty() ||
-      combiner_.dirty.load(std::memory_order_seq_cst) != d) {
-    drain_as_combiner(mod);
-  }
-}
-
-void AspectModerator::try_drain_batch_under_locks() {
-  // Completion-side re-drive. The postactions this caller just ran may
-  // have unblocked parked guards, so ONE drain must happen after them:
-  // bump the guard-state generation first, then drain directly (the
-  // caller already holds the registry shared lock and the all-shards
-  // LockSet, which is what combiner_drain would acquire). Losing the
-  // token race is fine — the holder's clear-site recheck sees the bump
-  // and re-drains. Never loop on `parked`: nodes whose guards still
-  // refuse re-park every round and wait for a FUTURE completion, and
-  // spinning on them here would hold the shard locks forever.
-  if (combiner_.pending.empty() &&
-      combiner_.parked.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  combiner_.dirty.fetch_add(1, std::memory_order_seq_cst);
-  for (;;) {
-    const std::uint64_t d = combiner_.dirty.load(std::memory_order_seq_cst);
-    if (combiner_.active.exchange(true, std::memory_order_seq_cst)) return;
-    drain_batch_under_locks();
-    combiner_.active.store(false, std::memory_order_seq_cst);
-    if (combiner_.pending.empty() &&
-        combiner_.dirty.load(std::memory_order_seq_cst) == d) {
-      return;
-    }
-  }
-}
-
-void AspectModerator::flush_batch_locked() {
-  using State = BatchRequest::State;
-  for (;;) {
-    BatchRequest* head = combiner_.parked_head;
-    BatchRequest* tail = combiner_.parked_tail;
-    combiner_.parked_head = nullptr;
-    combiner_.parked_tail = nullptr;
-    combiner_.parked.store(0, std::memory_order_relaxed);
-    BatchRequest* fresh = combiner_.pending.take_all();
-    if (head == nullptr) {
-      head = fresh;
-    } else {
-      tail->next = fresh;
-    }
-    if (head == nullptr) return;
-    while (head != nullptr) {
-      BatchRequest* next = head->next;
-      head->next = nullptr;
-      settle_batch_node(*head, head->state.load(std::memory_order_seq_cst),
-                        State::kRetry);
-      head = next;
-    }
-  }
-}
-
-void AspectModerator::flush_batch_requests() {
-  // Barrier wake phase / shutdown. We hold no registry or shard lock, so
-  // an active combiner (which does) can always finish: the spin is
-  // bounded by one drain.
-  while (combiner_.active.exchange(true, std::memory_order_seq_cst)) {
-    std::this_thread::yield();
-  }
-  flush_batch_locked();
-  combiner_.active.store(false, std::memory_order_seq_cst);
-  // The clearer's recheck obligation (see drain_as_combiner).
-  while (!combiner_.pending.empty()) {
-    if (combiner_.active.exchange(true, std::memory_order_seq_cst)) return;
-    flush_batch_locked();
-    combiner_.active.store(false, std::memory_order_seq_cst);
-  }
-}
-
-void AspectModerator::cancel_claimed_node(BatchRequest& n) {
-  InvocationContext& ctx = *n.ctx;
-  const CompiledChainData& cc = *n.mod->compiled;
-  // on_cancel runs under the CURRENT completion shard set, mirroring the
-  // park path's timeout (which holds its eval set across the cancel):
-  // re-resolve until the record matches the live shard map.
-  for (;;) {
-    const std::shared_ptr<const Moderation> cur =
-        cached_moderation(ctx.method());
-    std::shared_lock registry(registry_mu_);
-    if (!cur->has_plan &&
-        cur->shard_rev != shard_rev_.load(std::memory_order_relaxed)) {
-      continue;  // a shard appeared since the record was built
-    }
-    const bool dekker = dekker_arming_.load(std::memory_order_seq_cst);
-    MethodState* const* shards = cur->eval_shards.data();
-    const std::size_t count = cur->eval_shards.size();
-    if (dekker) lockers_add(shards, count);
-    {
-      LockSet locks(shards, count);
-      if (dekker) drain_fast_windows(shards, count);
-      // A request claimed before any combiner reached it never arrived.
-      arrive_once(cc, ctx, *n.arrived);
-      guarded_on_cancel(cc, ctx);
-      // The cancel may have released guard state (a queue slot, a pending
-      // writer count): re-drive parked admissions while the locks are
-      // held. Only sound when the held set is the all-shards set.
-      if (!cur->has_plan) try_drain_batch_under_locks();
-    }
-    if (dekker) lockers_sub(shards, count);
-    return;
-  }
-}
-
-AspectModerator::Outcome AspectModerator::claimed_abort(BatchRequest& n,
-                                                        const Moderation& mod,
-                                                        BatchEscape why) {
-  // The node may still sit in the queue or parked list, or be privately
-  // held by a live combiner round. Private holding requires the token, so
-  // one drain under OUR ownership guarantees a detach happened.
-  for (;;) {
-    {
-      std::scoped_lock lk(n.mu);
-      if (n.detached) break;
-    }
-    spin_drain_as_combiner(mod);
-  }
-  cancel_claimed_node(n);
-  InvocationContext& ctx = *n.ctx;
-  MethodState& ms = *n.mod->self;
-  switch (why) {
-    case BatchEscape::kStop:
-      ctx.set_abort_error(runtime::make_error(
-          ErrorCode::kCancelled, "stop requested while blocked"));
-      ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
-      log_event("cancelled", ctx);
-      break;
-    case BatchEscape::kTimeout:
-      ctx.set_abort_error(runtime::make_error(
-          ErrorCode::kTimeout, "deadline expired during preactivation"));
-      ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
-      log_event("timeout", ctx);
-      break;
-    case BatchEscape::kEvicted:
-      ctx.set_abort_error(runtime::make_error(
-          ErrorCode::kDeadlineExceeded,
-          "evicted by stall watchdog while blocked"));
-      ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
-      log_event("abort", ctx);
-      break;
-  }
-  return Outcome::kAborted;
-}
-
-AspectModerator::Outcome AspectModerator::batch_moderate(
-    InvocationContext& ctx, const std::shared_ptr<const Moderation>& mod,
-    std::uint64_t burst_gen, ArrivedVec& arrived) {
-  using State = BatchRequest::State;
-  BatchRequest req;
-  req.ctx = &ctx;
-  req.mod = mod.get();
-  req.arrived = &arrived;
-  req.burst_gen = burst_gen;
-  combiner_.pending.push(&req);
-
-  bool sleeper = false;
-  const auto finish = [&](Outcome out) {
-    // One lock/unlock serializes with a combiner that might still be
-    // inside the node's terminal critical section; after it, the frame
-    // can safely die.
-    { std::scoped_lock lk(req.mu); }
-    if (req.stall_rec) unregister_stall_record(ctx.id());
-    if (sleeper) sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    return out;
-  };
-
-  const bool has_deadline = ctx.deadline().has_value();
-  const bool steady_deadline =
-      has_deadline && clock_->is_steady_compatible();
-  // Manual clocks poll (a simulated advance can't notify this cv), and so
-  // do eviction-armed watchdogs: scan_stalls unparks SHARD lists, which
-  // batch owners are never on.
-  const bool poll = (has_deadline && !steady_deadline) ||
-                    (watchdog_ && watchdog_->abort_stalled);
-
-  enum class Escape { kNone, kTimeout, kStop, kEvicted };
-  const auto wait_slot = [&](auto&& leave, bool evictable) -> Escape {
-    std::unique_lock lk(req.mu);
-    for (;;) {
-      if (leave()) return Escape::kNone;
-      // stall_rec is combiner-written; reading it is only synchronized
-      // once kParked (set after the record) has been observed — hence the
-      // `evictable` gate on the kPending wait.
-      if (evictable && req.stall_rec &&
-          req.stall_rec->evicted.load(std::memory_order_acquire)) {
-        return Escape::kEvicted;
-      }
-      if (ctx.stop() && ctx.stop()->stop_requested()) return Escape::kStop;
-      if (has_deadline && clock_->now() >= *ctx.deadline()) {
-        return Escape::kTimeout;
-      }
-      if (poll) {
-        req.cv.wait_for(lk, kManualClockPoll);
-      } else if (steady_deadline) {
-        if (ctx.stop()) {
-          req.cv.wait_until(lk, *ctx.stop(), *ctx.deadline(), leave);
-        } else {
-          req.cv.wait_until(lk, *ctx.deadline(), leave);
-        }
-      } else if (ctx.stop()) {
-        req.cv.wait(lk, *ctx.stop(), leave);
-      } else {
-        req.cv.wait(lk, leave);
-      }
-    }
-  };
-  const auto escape_reason = [](Escape e) {
-    return e == Escape::kStop      ? BatchEscape::kStop
-           : e == Escape::kEvicted ? BatchEscape::kEvicted
-                                   : BatchEscape::kTimeout;
-  };
-
-  for (;;) {
-    switch (req.state.load(std::memory_order_seq_cst)) {
-      case State::kAdmitted:
-        adopt_span(ctx, req.span_parity);
-        return finish(Outcome::kAdmitted);
-      case State::kAborted:
-        return finish(Outcome::kAborted);
-      case State::kRetry:
-        return finish(Outcome::kRecompose);
-      case State::kProcessing:
-        // A verdict is imminent and a claim can no longer succeed; wait
-        // it out (escapes re-loop — the terminal state settles them).
-        wait_slot(
-            [&] {
-              return req.state.load(std::memory_order_seq_cst) !=
-                     State::kProcessing;
-            },
-            /*evictable=*/false);
-        continue;
-      case State::kPending: {
-        // Leader election: drain if the token is free, else sleep — a
-        // live combiner is guaranteed to reach this node or to recheck
-        // the queue after clearing the token (seq_cst total order).
-        drain_as_combiner(*mod);
-        if (req.state.load(std::memory_order_seq_cst) != State::kPending) {
-          continue;
-        }
-        const Escape e = wait_slot(
-            [&] {
-              return req.state.load(std::memory_order_seq_cst) !=
-                     State::kPending;
-            },
-            /*evictable=*/false);
-        if (e != Escape::kNone && try_claim_batch_node(req)) {
-          return finish(claimed_abort(req, *mod, escape_reason(e)));
-        }
-        continue;
-      }
-      case State::kParked: {
-        if (!sleeper) {
-          sleeper = true;
-          // §14 lost-wakeup closure: raise sleepers_ FIRST (seq_cst),
-          // then force one full drain. Lock-free fast completions that
-          // validated sleepers_ == 0 are totally ordered before this
-          // increment, and the forced drain re-evaluates the guards with
-          // all their writes visible; completions that start after it
-          // fail validation and divert to the locked slow path, which
-          // drains the combiner under the same locks. Either way this
-          // parked request cannot sleep through a state change.
-          sleepers_.fetch_add(1, std::memory_order_seq_cst);
-          spin_drain_as_combiner(*mod);
-          continue;
-        }
-        const Escape e = wait_slot(
-            [&] {
-              const State s = req.state.load(std::memory_order_seq_cst);
-              return s != State::kParked && s != State::kProcessing;
-            },
-            /*evictable=*/true);
-        if (e != Escape::kNone && try_claim_batch_node(req)) {
-          return finish(claimed_abort(req, *mod, escape_reason(e)));
-        }
-        continue;
-      }
-      case State::kClaimed:
-        continue;  // unreachable: claims return via claimed_abort above
-    }
-  }
 }
 
 void AspectModerator::arrive_once(const CompiledChainData& cc,

@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "concurrency/completion.hpp"
-#include "concurrency/intru_queue.hpp"
 #include "concurrency/progress.hpp"
 #include "core/bank.hpp"
 #include "core/context.hpp"
@@ -259,12 +258,12 @@ class AspectModerator {
   /// end_exclusive(), the owner's calls run the same compiled chains and
   /// hooks, in the same order, through the locked admission loop and
   /// postactivation, minus the work that only guards against other
-  /// threads: the fast attempt, the batch branch, bursts, spans, the
-  /// Dekker traffic, every shard mutex and two of three clock reads. A
-  /// call that would block fails at once with kTimeout, because nothing
-  /// else runs to release it. Aborts the process with a message unless
-  /// the moderator is quiescent: no burst, span, parked call or batch
-  /// request, no shutdown and no phase already active.
+  /// threads: the fast attempt, bursts, spans, the Dekker traffic, every
+  /// shard mutex and two of three clock reads. A call that would block
+  /// fails at once with kTimeout, because nothing else runs to release it.
+  /// Aborts the process with a message unless the moderator is quiescent:
+  /// no burst, span or parked call, no shutdown and no phase already
+  /// active.
   ///
   /// During the phase a pre- or post-activation from any other thread
   /// aborts the process with a message, and a recomposition barrier run
@@ -432,12 +431,6 @@ class AspectModerator {
     // plan nor appears as a wake target in any plan. Guarded by plan_rev:
     // a later plan change invalidates the record wholesale.
     bool fast_eligible = false;
-    // Batch-moderation eligibility (DESIGN.md §14): a grouped no-plan
-    // method that is not a wake target. Its slow admissions enqueue on the
-    // combiner instead of taking the shard set per call; wake targets keep
-    // the shard park list (a plan promises them a directed signal) and
-    // single-shard moderators have nothing to combine.
-    bool batch_eligible = false;
   };
 
   // The cached (or freshly built) Moderation of `method` for the current
@@ -477,8 +470,8 @@ class AspectModerator {
   // error code (kTimeout → timeout, kCancelled → cancelled, else abort).
   void book_refusal(const CompiledChainData& cc, MethodState& ms,
                     InvocationContext& ctx);
-  // The commit of every non-batch admission, under the evaluating locks (or
-  // a validated fast window): entry hooks, admitted chain, moderation hint,
+  // The commit of every admission, under the evaluating locks (or a
+  // validated fast window): entry hooks, admitted chain, moderation hint,
   // the thread-local half of the span (the caller already counted spans_;
   // parity -1 is an exclusive-phase admission, which opens no span), stats
   // and the `admitted` event.
@@ -540,140 +533,6 @@ class AspectModerator {
   // validate once lockers is raised, so the wait is bounded by the
   // (non-blocking, short) hook chains already in flight.
   static void drain_fast_windows(MethodState* const* shards, std::size_t n);
-
-  // --- batch moderation / flat combining (DESIGN.md §14) ----------------
-  //
-  // Grouped no-plan admissions enqueue a stack-allocated BatchRequest on
-  // one moderator-wide combiner (G6 makes every no-plan completion set the
-  // all-shards set, so one queue covers every batch-eligible group). The
-  // first thread to win the combiner token drains the queue and runs the
-  // guard chains for the whole batch under ONE shard-set acquisition;
-  // everyone else sleeps on its own request's cv slot and is completed by
-  // the leader. The token holder counts as a locked section for the §11
-  // Dekker handshake (it raises `lockers` on every shard it drains under).
-
-  struct StallRecord;  // defined with the watchdog section below
-
-  /// How one batched admission resolved, as seen by its owner.
-  enum class Outcome { kAdmitted, kAborted, kRecompose };
-
-  /// Why an owner abandoned its parked request and reclaimed it.
-  enum class BatchEscape { kTimeout, kStop, kEvicted };
-
-  /// One pending admission, embedded in its caller's preactivation frame.
-  /// State machine (the combiner owns every transition except kClaimed,
-  /// which only the owner may take, and only from kPending/kParked):
-  ///
-  ///   kPending ──evaluate──▶ kParked ──later round──▶ kAdmitted/kAborted
-  ///      │                      │                          (terminal)
-  ///      │ stale/flip           │ stale/flip ──▶ kRetry    (terminal)
-  ///      └──owner escape──▶ kClaimed ◀──owner escape───┘
-  ///
-  /// kProcessing is the combiner's commit lock-out: once taken, the owner
-  /// can no longer claim and a terminal verdict is imminent.
-  struct BatchRequest {
-    enum class State : std::uint8_t {
-      kPending,
-      kParked,
-      kProcessing,
-      kAdmitted,
-      kAborted,
-      kRetry,
-      kClaimed,
-    };
-    BatchRequest* next = nullptr;  // intrusive link: queue, then parked list
-    InvocationContext* ctx = nullptr;
-    const Moderation* mod = nullptr;  // pinned by the owner's shared_ptr
-    ArrivedVec* arrived = nullptr;    // owner's on_arrive dedup record
-    std::uint64_t burst_gen = 0;      // gen the owner's burst registered at
-    std::atomic<State> state{State::kPending};
-    int span_parity = -1;  // set by the combiner before kAdmitted
-    // Built and registered by the combiner at first park (the owner may
-    // not touch ctx notes while parked); the owner reads it only after
-    // observing kParked (or `detached`), which orders the access.
-    std::shared_ptr<StallRecord> stall_rec;
-    // Owner wake slot. `detached` (guarded by mu) means no queue, parked
-    // list or combiner holds the node any more; the owner of a kClaimed
-    // node must observe it before letting the frame die.
-    std::mutex mu;
-    std::condition_variable_any cv;
-    bool detached = false;
-  };
-
-  struct BatchCombiner {
-    concurrency::IntruQueue<BatchRequest> pending;
-    // The combiner token. Its holder is the queue's single consumer and
-    // the only thread allowed to touch the parked list — the list needs
-    // no lock of its own. seq_cst everywhere: the handoff proof (clear,
-    // then re-check pending) is a total-order argument.
-    std::atomic<bool> active{false};
-    BatchRequest* parked_head = nullptr;  // FIFO; guarded by `active`
-    BatchRequest* parked_tail = nullptr;
-    std::atomic<std::int64_t> parked{0};  // diagnostics (blocked_waiters)
-    // Guard-state generation. A completion that may have unblocked parked
-    // guards bumps it BEFORE trying for the token; whoever clears the
-    // token re-drains if the counter moved past its pre-drain snapshot.
-    // Without it a completer that loses the token race to a combiner in
-    // its final recheck would strand parked nodes: that holder's drain
-    // predates the completion's postactions, and its pending-only recheck
-    // never looks at the parked list again (lost wakeup). The completer
-    // itself never loops on `parked` — parked nodes legitimately outlive
-    // every drain until a FUTURE completion changes what their guards see.
-    std::atomic<std::uint64_t> dirty{0};
-  };
-
-  // Owner side: push, combine-or-park, wait, claim on escape. The caller
-  // must hold a registered burst (burst_gen) and exit it afterwards.
-  Outcome batch_moderate(InvocationContext& ctx,
-                         const std::shared_ptr<const Moderation>& mod,
-                         std::uint64_t burst_gen, ArrivedVec& arrived);
-  // Token held: resolve the current all-shards set via `mod` (flushing
-  // everything with kRetry when it is stale) and drain under one
-  // acquisition, with the Dekker handshake.
-  void combiner_drain(const Moderation& mod);
-  // Token + registry shared lock + all completion shards locked: rounds of
-  // splice-parked + take-pending, re-evaluated until a round makes no
-  // progress (or a quarantine safe point is due).
-  void drain_batch_under_locks();
-  // One node under the locks; returns true when aspect state may have
-  // changed (an admission, abort, cancel or expiry ran hooks).
-  bool process_batch_node(BatchRequest& n);
-  void park_batch_node(BatchRequest& n, BatchRequest::State observed);
-  // Non-blocking combiner attempt from an unlocked context, with the
-  // clear-then-recheck handoff. Returns immediately when another thread
-  // holds the token (that holder owes the same recheck).
-  void drain_as_combiner(const Moderation& mod);
-  // Spinning variant: used by parked owners (the §14 forced re-evaluation
-  // after raising sleepers_) and by claimers, who need a drain to have
-  // happened-after their claim.
-  void spin_drain_as_combiner(const Moderation& mod);
-  // Same attempt from UNDER the all-shards locks (no-plan completion
-  // path, claimed-cancel path): drains directly, no re-locking.
-  void try_drain_batch_under_locks();
-  // Token held: terminal-ize every reachable node with kRetry (barrier
-  // flip, shutdown, stale shard map); claimed nodes are detached.
-  void flush_batch_locked();
-  // Flush for the barrier wake phase and shutdown: spin-acquire the token,
-  // flush, release, recheck.
-  void flush_batch_requests();
-  // CAS observed→to under the node's mutex; on success notify the owner,
-  // on failure (owner claimed) detach instead. The owner may destroy the
-  // node the moment it observes a terminal state (or `detached`); the
-  // store-under-mutex plus the owner's final lock/unlock make that
-  // destruction serialize after the combiner's last touch.
-  static void settle_batch_node(BatchRequest& n, BatchRequest::State observed,
-                                BatchRequest::State to);
-  // Unconditional terminal store + notify under the mutex (the node is
-  // already locked out of claiming via kProcessing).
-  static void finish_batch_node(BatchRequest& n, BatchRequest::State to);
-  static void detach_batch_node(BatchRequest& n);
-  // Owner side of an escaped (claimed) request: wait out any combiner
-  // still holding the node, run on_cancel under the current shard locks,
-  // book stats/error/log for `why`.
-  Outcome claimed_abort(BatchRequest& n, const Moderation& mod,
-                        BatchEscape why);
-  void cancel_claimed_node(BatchRequest& n);
-  bool try_claim_batch_node(BatchRequest& n);
 
   // The null check is inline so the common no-log configuration pays one
   // predicted branch per site instead of a function call.
@@ -749,10 +608,10 @@ class AspectModerator {
     std::string chain;       // "a < b < c" at block time
     std::string blocked_by;  // guard that refused, at block time
     MethodState* shard = nullptr;
-    // The parked call this record watches while it is on shard's list
-    // (null for a batch request, which polls `evicted` itself). Guarded by
-    // shard->mu — set at park, cleared at transfer — so an eviction that
-    // still observes it non-null owns a live node linked on that list.
+    // The parked call this record watches while it is on shard's list.
+    // Guarded by shard->mu — set at park, cleared at transfer — so an
+    // eviction that still observes it non-null owns a live node linked on
+    // that list.
     ParkedCall* parked = nullptr;
     // Set by the watchdog; the waiter aborts with kDeadlineExceeded.
     std::atomic<bool> evicted{false};
@@ -942,17 +801,13 @@ class AspectModerator {
   // Fast-path introspection (relaxed; see fast_admissions()).
   std::atomic<std::uint64_t> fast_admissions_{0};
   std::atomic<std::uint64_t> fast_completions_{0};
-  // Calls currently blocked anywhere in this moderator: parked nodes
-  // (raised before the parking attempt's final guard re-check, lowered at
-  // transfer) plus sleeping batch owners. The no-plan completion contract
-  // is a broadcast to EVERY method, so a fast completion validates
-  // sleepers_ == 0 (seq_cst) and defers to the locked, signalling slow
-  // path whenever any call is blocked — even on an unrelated shard.
+  // Calls currently blocked anywhere in this moderator: parked nodes,
+  // raised before the parking attempt's final guard re-check and lowered
+  // at transfer. The no-plan completion contract is a broadcast to EVERY
+  // method, so a fast completion validates sleepers_ == 0 (seq_cst) and
+  // defers to the locked, signalling slow path whenever any call is
+  // blocked — even on an unrelated shard.
   std::atomic<std::int64_t> sleepers_{0};
-  // Batch-moderation combiner (DESIGN.md §14). One per moderator: every
-  // batch-eligible record's completion set is the all-shards set (G6), so
-  // a single leader election covers all groups.
-  BatchCombiner combiner_;
   // Two-stage, sticky arming of the Dekker handshake, so compositions with
   // no fast-capable aspect pay NOTHING for the fast path's existence:
   //   arming — set (before the recompose barrier) the first time the bank

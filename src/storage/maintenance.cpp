@@ -65,8 +65,8 @@ Result<DrainReport> drain_and_checkpoint(core::AspectModerator& moderator,
   report.spans_at_entry = moderator.open_spans();
   report.waiters_at_entry = moderator.blocked_waiters();
 
-  // Quiesce intake: every future preactivation aborts with kCancelled,
-  // every blocked waiter wakes, and the batch combiner's queue flushes.
+  // Quiesce intake: every future preactivation aborts with kCancelled, and
+  // every blocked waiter wakes.
   moderator.shutdown();
 
   // Wait for in-flight bodies. Spans close without our help (their threads

@@ -4,16 +4,16 @@
 // Checkpointing was a caller chore — reach quiescence, call checkpoint(),
 // hope the timing was right. Checkpointer makes it a background concern: a
 // periodic thread invokes an app-supplied checkpoint callback off the hot
-// path, so the moderated fast path and the batch combiner never carry
-// snapshot work. The callback owns its quiescence story (the durable apps
-// run the capture through a moderated exclusion-writer method, so a
-// checkpoint is just another serialized call — never a stop-the-world).
+// path, so moderated admissions never carry snapshot work. The callback
+// owns its quiescence story (the durable apps run the capture through a
+// moderated exclusion-writer method, so a checkpoint is just another
+// serialized call — never a stop-the-world).
 //
 // drain_and_checkpoint is the orderly way DOWN: quiesce intake (moderator
-// shutdown wakes every waiter and flushes the batch combiner), wait for
-// in-flight spans to finish, force the log tail to disk, publish a final
-// snapshot. After it returns the directory reopens with an empty replay
-// tail — recovery restores the snapshot and replays nothing.
+// shutdown wakes every waiter), wait for in-flight spans to finish, force
+// the log tail to disk, publish a final snapshot. After it returns the
+// directory reopens with an empty replay tail — recovery restores the
+// snapshot and replays nothing.
 #pragma once
 
 #include <chrono>
@@ -94,13 +94,13 @@ struct DrainReport {
 };
 
 /// Coordinated shutdown: moderator.shutdown() (aborts future intake, wakes
-/// every waiter, flushes the batch combiner), wait up to `timeout` for
-/// open spans and blocked waiters to drain, sync the log tail, publish a
-/// final snapshot via `capture` (skipped when null). Fails with kTimeout
-/// when in-flight work does not drain — state is then NOT quiescent and
-/// the caller must not assume a clean tail. A fenced device does not fail
-/// the drain: the report carries the checkpoint refusal instead, and the
-/// spill (if any) stays in memory for a later reopen.
+/// every waiter), wait up to `timeout` for open spans and blocked waiters
+/// to drain, sync the log tail, publish a final snapshot via `capture`
+/// (skipped when null). Fails with kTimeout when in-flight work does not
+/// drain — state is then NOT quiescent and the caller must not assume a
+/// clean tail. A fenced device does not fail the drain: the report carries
+/// the checkpoint refusal instead, and the spill (if any) stays in memory
+/// for a later reopen.
 runtime::Result<DrainReport> drain_and_checkpoint(
     core::AspectModerator& moderator, Storage& storage,
     const Recovery::Capture& capture,

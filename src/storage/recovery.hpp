@@ -71,7 +71,7 @@ class Recovery {
 
 /// Loads a logged call into a fresh proxy CallBuilder: the caller's name,
 /// the logged notes in order, then kReplayNoteKey = the record's
-/// invocation id. A durable app's Apply adds its deadline and runs it.
+/// invocation id. A durable app's Apply runs it.
 template <typename CallBuilder>
 CallBuilder& load_replayed_call(CallBuilder& call, const CommitView& record) {
   char id[20];  // the longest std::uint64_t in decimal

@@ -1,6 +1,6 @@
-// Tests for the intrusive MPSC queue backing batch moderation
-// (DESIGN.md §14): FIFO hand-back order, the was-empty leader-election
-// bit, node re-use after release, and a multi-producer hammer that checks
+// Tests for the intrusive MPSC queue behind every persona's ready queue
+// (DESIGN.md §18.1): FIFO hand-back order, the was-empty bit push reports,
+// node re-use after release, and a multi-producer hammer that checks
 // exactly-once delivery and per-producer ordering.
 #include <gtest/gtest.h>
 
@@ -62,7 +62,7 @@ TEST(IntruQueueTest, MpscHammerDeliversExactlyOnceInProducerOrder) {
   constexpr int kPerProducer = 2'000;
   IntruQueue<Node> q;
   // Nodes are caller-owned: each producer pushes out of its own slab, like
-  // batch requests living in their callers' stack frames.
+  // parked calls living in their callers' stack frames.
   std::vector<std::vector<Node>> slabs(kProducers,
                                        std::vector<Node>(kPerProducer));
   std::atomic<int> received{0};
@@ -70,7 +70,7 @@ TEST(IntruQueueTest, MpscHammerDeliversExactlyOnceInProducerOrder) {
   std::atomic<int> order_violations{0};
 
   std::thread consumer([&] {
-    // Single consumer, as guaranteed by the moderator's combiner token.
+    // Single consumer, as a persona's owner thread is.
     while (received.load(std::memory_order_relaxed) <
            kProducers * kPerProducer) {
       for (Node* n = q.take_all(); n != nullptr;) {

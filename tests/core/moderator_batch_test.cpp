@@ -1,19 +1,20 @@
-// Tests for batch moderation of grouped chains (DESIGN.md §14).
+// Tests for grouped chains on the one park path (DESIGN.md §18.2).
 //
-// Methods that share an aspect OBJECT and have no notification plan take
-// the flat-combining write path: admission requests queue on an intrusive
-// MPSC list and the first caller to win the combiner token drains the
-// whole batch under ONE acquisition of the group's shard set. What must
-// hold:
-//   * grouped admission stays atomic — a batch never admits two bodies
-//     into an exclusion group at once,
+// Methods that share an aspect OBJECT and have no notification plan hold
+// the whole shard set at admission and at completion (G6). A grouped call
+// that misses the §11 fast path goes through the locked admission loop
+// and, while a guard blocks, parks on its method's list like every other
+// blocked call. What must hold:
+//   * grouped admission stays atomic — never two bodies in an exclusion
+//     group at once,
 //   * verdicts are per call — one call's veto aborts only that call, and
 //     entry/postaction pairing (G4) is exact for the admitted ones,
-//   * parked writers are woken by completions (the combiner re-drive),
-//     with NO lost wakeup against the lock-free fast path's Dekker
-//     handshake, combiner handoff, or recomposition epoch bumps,
-//   * queued entries whose deadline expired are shed without evaluation,
-//   * shutdown and recomposition flush the queue — nobody strands.
+//   * parked calls are woken by completions, with NO lost wakeup against
+//     the lock-free fast path's Dekker handshake or recomposition epoch
+//     bumps,
+//   * deadlines follow PROTOCOL §3 rule 2 exactly as on a single shard: a
+//     parked call times out, and a passing chain admits past its deadline,
+//   * shutdown and stop requests reach parked grouped calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,11 +37,11 @@ using runtime::AspectKind;
 using runtime::ErrorCode;
 using runtime::MethodId;
 
-// Grouped methods with NO notification plan — the batch-eligible shape.
-// (Setting a plan routes completions through planned wake targets and
-// disables batching; the sharding tests cover that regime.)
+// Grouped methods with NO notification plan: every admission and every
+// completion holds the all-shards set. (Setting a plan routes completions
+// through planned wake targets; the sharding tests cover that regime.)
 
-// --- grouped atomicity through the combiner ------------------------------
+// --- grouped atomicity under a write burst -------------------------------
 
 TEST(ModeratorBatchTest, GroupedAdmissionsStayAtomicUnderWriteBurst) {
   AspectModerator moderator;
@@ -74,7 +75,7 @@ TEST(ModeratorBatchTest, GroupedAdmissionsStayAtomicUnderWriteBurst) {
       });
     }
   }
-  EXPECT_EQ(max_inside.load(), 1) << "a batch admitted two bodies at once";
+  EXPECT_EQ(max_inside.load(), 1) << "two grouped bodies ran at once";
   EXPECT_EQ(completed.load(), kThreads * kOpsPerThread);
   EXPECT_EQ(moderator.stats(a).admitted + moderator.stats(b).admitted,
             static_cast<std::uint64_t>(kThreads * kOpsPerThread));
@@ -82,11 +83,11 @@ TEST(ModeratorBatchTest, GroupedAdmissionsStayAtomicUnderWriteBurst) {
   EXPECT_EQ(moderator.blocked_waiters(), 0u);
 }
 
-// --- per-call verdicts and G4 pairing inside one batch -------------------
+// --- per-call verdicts and G4 pairing across a group ---------------------
 
 TEST(ModeratorBatchTest, BatchedVerdictsAreIsolatedAndPairingExact) {
   // Method b carries an extra always-veto guard; a and b still share the
-  // "link" aspect, so both ride the same combiner. Every b call must abort
+  // "link" aspect, so both lock the same shard set. Every b call must abort
   // (its own verdict), every a call must admit, and the link aspect's
   // entry/postaction pairing must be exact: aborted calls never run entry.
   AspectModerator moderator;
@@ -139,7 +140,7 @@ TEST(ModeratorBatchTest, BatchedVerdictsAreIsolatedAndPairingExact) {
   EXPECT_EQ(link_entries.load(), a_admitted.load())
       << "an aborted call ran an entry hook";
   EXPECT_EQ(link_entries.load(), link_posts.load())
-      << "a batch tore an entry/postaction pair";
+      << "a grouped call tore an entry/postaction pair";
 }
 
 // --- parked writers are woken by completions -----------------------------
@@ -149,8 +150,8 @@ TEST(ModeratorBatchTest, ParkedRequestWokenByGroupCompletion) {
   const auto waiting = MethodId::of("batch-wake-wait");
   const auto releasing = MethodId::of("batch-wake-open");
   auto gate = std::make_shared<std::atomic<bool>>(false);
-  // The shared no-op link groups the two methods (batch eligibility);
-  // the gate guard rides only on `waiting`.
+  // The shared no-op link groups the two methods; the gate guard rides
+  // only on `waiting`.
   auto linker = std::make_shared<LambdaAspect>("linker");
   moderator.register_aspect(waiting, AspectKind::of("batch-wk-link"), linker);
   moderator.register_aspect(releasing, AspectKind::of("batch-wk-link"),
@@ -191,14 +192,15 @@ TEST(ModeratorBatchTest, ParkedRequestWokenByGroupCompletion) {
 // --- lost-wakeup hammer (satellite proof; run under TSan in CI) ----------
 
 TEST(ModeratorBatchTest, ParkedWakeupHammerSurvivesHandoffAndEpochBumps) {
-  // The §14 lost-wakeup surface: parked nodes sleep on per-request cvs
-  // while admissions race through (a) the combiner handoff (clear token /
-  // re-check), (b) the §11 lock-free fast path's sleepers_ gate, and
-  // (c) recomposition flushes that settle the whole queue to retry. A
-  // shared exclusion limit of 1 makes every admission a potential parker
-  // and every completion a required wakeup; a mutator thread keeps
-  // merging/splitting the composition to bump epochs mid-park. Any lost
-  // wakeup deadlocks the test (ctest TIMEOUT 120 converts it to failure).
+  // The lost-wakeup surface of grouped parking: parked calls wait on
+  // their threads' doorbells while admissions race through (a) the
+  // all-shards completion transfer, (b) the §11 lock-free fast path's
+  // sleepers_ gate, and (c) recomposition barriers that transfer every
+  // parked call to retry. A shared exclusion limit of 1 makes every
+  // admission a potential parker and every completion a required wakeup;
+  // a mutator thread keeps merging/splitting the composition to bump
+  // epochs mid-park. Any lost wakeup deadlocks the test (ctest TIMEOUT 120
+  // converts it to failure).
   AspectModerator moderator;
   const auto a = MethodId::of("batch-hammer-a");
   const auto b = MethodId::of("batch-hammer-b");
@@ -234,8 +236,8 @@ TEST(ModeratorBatchTest, ParkedWakeupHammerSurvivesHandoffAndEpochBumps) {
       });
     }
     workers.emplace_back([&] {
-      // Epoch churn: register/remove a shared aspect, forcing barrier
-      // flushes that settle every queued/parked request to retry.
+      // Epoch churn: register/remove a shared aspect, forcing barriers
+      // that transfer every parked call to retry.
       while (completed.load() < kThreads * kOpsPerThread) {
         moderator.register_aspect(a, AspectKind::of("batch-hm-link"), link);
         moderator.register_aspect(b, AspectKind::of("batch-hm-link"), link);
@@ -248,12 +250,12 @@ TEST(ModeratorBatchTest, ParkedWakeupHammerSurvivesHandoffAndEpochBumps) {
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(completed.load(), kThreads * kOpsPerThread);
   EXPECT_EQ(link_entries.load(), link_posts.load())
-      << "recomposition tore a pair out of a batch";
+      << "recomposition tore an entry/postaction pair";
   EXPECT_EQ(excl->active(), 0u);
   EXPECT_EQ(moderator.blocked_waiters(), 0u);
 }
 
-// --- queued-but-expired entries are shed ---------------------------------
+// --- PROTOCOL §3 rule 2 on grouped calls ---------------------------------
 
 TEST(ModeratorBatchTest, ExpiredDeadlineTimesOutWhileParked) {
   AspectModerator moderator;
@@ -274,7 +276,35 @@ TEST(ModeratorBatchTest, ExpiredDeadlineTimesOutWhileParked) {
   EXPECT_EQ(moderator.blocked_waiters(), 0u);
 }
 
-// --- shutdown flushes the batch queue ------------------------------------
+TEST(ModeratorBatchTest, ExpiredDeadlineStillAdmitsPassingChain) {
+  // Rule 2: at the deadline the chain is evaluated once more, and a chain
+  // that passes then still admits. A grouped method (two methods sharing
+  // one aspect object) must follow it exactly like a single-shard one;
+  // nothing sheds an expired call before its guards have run.
+  const auto run = [](bool grouped) {
+    AspectModerator moderator;
+    const auto m =
+        MethodId::of(grouped ? "batch-late-grouped" : "batch-late-solo");
+    auto excl = std::make_shared<aspects::MutualExclusionAspect>(1);
+    moderator.register_aspect(m, AspectKind::of("batch-late-excl"), excl);
+    if (grouped) {
+      moderator.register_aspect(MethodId::of("batch-late-sibling"),
+                                AspectKind::of("batch-late-excl"), excl);
+    }
+    InvocationContext ctx(m);
+    ctx.set_deadline(runtime::RealClock::instance().now() -
+                     std::chrono::milliseconds(5));
+    const Decision d = moderator.preactivation(ctx);
+    if (d == Decision::kResume) moderator.postactivation(ctx);
+    EXPECT_EQ(moderator.stats(m).timed_out, 0u);
+    EXPECT_EQ(excl->active(), 0u);
+    return d;
+  };
+  EXPECT_EQ(run(false), Decision::kResume) << "single-shard method";
+  EXPECT_EQ(run(true), Decision::kResume) << "grouped method";
+}
+
+// --- shutdown refuses parked grouped calls -------------------------------
 
 TEST(ModeratorBatchTest, ShutdownRefusesParkedBatchWaiters) {
   AspectModerator moderator;
@@ -308,7 +338,7 @@ TEST(ModeratorBatchTest, ShutdownRefusesParkedBatchWaiters) {
   EXPECT_TRUE(moderator.is_shutdown());
 }
 
-// --- stop tokens reach parked batch requests -----------------------------
+// --- stop tokens reach parked grouped calls ------------------------------
 
 TEST(ModeratorBatchTest, StopRequestCancelsParkedBatchWaiter) {
   AspectModerator moderator;

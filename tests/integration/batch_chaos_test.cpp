@@ -1,10 +1,12 @@
-// Chaos variant of the batch-moderation stress (DESIGN.md §14): a seeded
-// kDelay fault stretches the combiner's drain loop per node, widening the
-// windows in which owners claim their nodes back (timeouts, stop tokens)
-// and recompositions flush the queue. The name matches the CI chaos job's
-// `ctest -R chaos` filter, so it runs across the AMF_FAULT_SEED matrix.
+// Chaos variant of the grouped-call stress (DESIGN.md §18.2): a seeded
+// kDelay fault stretches the locked admission attempt — under the
+// eval-shard locks, before the guards run — widening the windows in which
+// grouped calls park, time out at their deadlines and are transferred by
+// completions. The name matches the CI chaos job's `ctest -R chaos`
+// filter, so it runs across the AMF_FAULT_SEED matrix.
 //
 // Invariants, whatever the delay schedule does:
+//   * the delay point actually fires (the test exercises its schedule),
 //   * grouped exclusion holds (never two bodies in a limit-1 group),
 //   * every invocation settles exactly once (admit+complete, abort, or
 //     timeout — nothing stranded, nothing double-counted),
@@ -74,8 +76,8 @@ TEST(BatchChaosTest, CombinerDrainSurvivesSeededDelays) {
         const auto method = (t % 2 == 0) ? a : b;
         for (int i = 0; i < kOpsPerThread; ++i) {
           InvocationContext ctx(method);
-          // A tight-but-realistic deadline: most calls admit, a delayed
-          // drain occasionally sheds one from the queue as expired.
+          // A tight-but-realistic deadline: most calls admit, and a call
+          // parked behind delayed attempts occasionally times out.
           ctx.set_deadline(runtime::RealClock::instance().now() +
                            std::chrono::milliseconds(250));
           const Decision d = moderator.preactivation(ctx);
@@ -94,13 +96,15 @@ TEST(BatchChaosTest, CombinerDrainSurvivesSeededDelays) {
       });
     }
   }
+  EXPECT_GT(injector.fires(FaultPoint::kDelay), 0u)
+      << "the seeded delay never fired";
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(other.load(), 0) << "an invocation settled with an unexpected "
                                 "verdict under injected delays";
   EXPECT_EQ(completed.load() + timed_out.load(), kThreads * kOpsPerThread);
   EXPECT_EQ(link_entries.load(), completed.load());
   EXPECT_EQ(link_entries.load(), link_posts.load())
-      << "a delayed drain tore an entry/postaction pair";
+      << "a delayed attempt tore an entry/postaction pair";
   EXPECT_EQ(excl->active(), 0u);
   EXPECT_EQ(moderator.blocked_waiters(), 0u);
   EXPECT_EQ(moderator.stats(a).completed + moderator.stats(b).completed,
