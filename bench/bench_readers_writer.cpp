@@ -9,6 +9,8 @@
 // lock-free histograms (runtime/metrics.hpp) and surface as read/write
 // p50/p99 counters next to the throughput number, for both the framework
 // and the shared_mutex baseline.
+//
+// BM_ReservationProxyBuild/n prices building the service over an n x n grid.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -173,6 +175,18 @@ void BM_SharedMutexBaseline(benchmark::State& state) {
   report_latency(state, read_lat, write_lat);
 }
 
+// Construction cost of the service: make_reservation_proxy over an n x n
+// grid, torn down each iteration. A seat is a 4-byte holder id and the
+// grid one zero fill (DESIGN.md §4.6), so the 65,536-seat build costs a
+// small multiple of the 256-seat one; CI guards that ratio.
+void BM_ReservationProxyBuild(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_reservation_proxy(side, side));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
 void shapes(benchmark::internal::Benchmark* b) {
   for (const int threads : {2, 4, 8}) {
     for (const int read_pct : {90, 50}) {
@@ -184,6 +198,7 @@ void shapes(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_FrameworkRw)->Apply(shapes);
 BENCHMARK(BM_SharedMutexBaseline)->Apply(shapes);
+BENCHMARK(BM_ReservationProxyBuild)->Arg(16)->Arg(256);
 
 }  // namespace
 
