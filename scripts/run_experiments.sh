@@ -8,9 +8,9 @@
 # (who wins, by what factor) are what the document's claims rest on.
 #
 # For the experiments the CI perf gate and the optimisation history track
-# (E1, E8, E11, E13), the run additionally emits machine-readable snapshots —
-# BENCH_E1.json / BENCH_E8.json / BENCH_E11.json / BENCH_E13.json in the
-# repo root — with
+# (E1, E5, E8, E11, E13-E17), the run additionally emits machine-readable
+# snapshots — BENCH_E1.json, BENCH_E5.json, BENCH_E8.json, ... in the repo
+# root — with
 # items/s and the per-op latency percentiles. An existing "baseline" key in
 # those files (the pinned pre-optimisation numbers) survives re-runs; pass
 # --set-baseline to re-pin it to the numbers being generated now.
@@ -67,7 +67,8 @@ run_json bench_invocation_overhead E1 "$ROOT/BENCH_E1.json" \
 run bench_aspect_scaling      "E2 — cost vs number of aspects"
 run bench_contention          "E3 — contention: framework vs tangled"
 run bench_extension_cost      "E4 — cost of adding a concern"
-run bench_factory             "E5 — creation/registration rates"
+run_json bench_factory E5 "$ROOT/BENCH_E5.json" \
+  "E5 — creation/registration rates"
 run bench_scheduling          "E6 — scheduling: throughput + tail wait per class"
 run bench_distribution        "E7 — local vs RPC vs simulated link"
 run_json bench_readers_writer E8 "$ROOT/BENCH_E8.json" \
@@ -90,5 +91,6 @@ run_json bench_selfheal E17 "$ROOT/BENCH_E17.json" \
 
 echo
 echo "All experiment series regenerated. Compare shapes against EXPERIMENTS.md;"
-echo "machine-readable snapshots: BENCH_E1.json BENCH_E8.json BENCH_E11.json"
-echo "BENCH_E13.json BENCH_E14.json BENCH_E15.json BENCH_E16.json BENCH_E17.json."
+echo "machine-readable snapshots: BENCH_E1.json BENCH_E5.json BENCH_E8.json"
+echo "BENCH_E11.json BENCH_E13.json BENCH_E14.json BENCH_E15.json"
+echo "BENCH_E16.json BENCH_E17.json."

@@ -48,16 +48,18 @@ std::shared_ptr<AuctionProxy> make_auction_proxy(
   roles->require(close_method(), "auctioneer");
   auto audit = std::make_shared<aspects::AuditAspect>(audit_log, "audit");
 
+  std::vector<core::Binding> cells;
   for (const auto m : writers) {
-    moderator.register_aspect(m, runtime::kinds::authentication(), auth);
-    moderator.register_aspect(m, runtime::kinds::authorization(), roles);
-    moderator.register_aspect(m, runtime::kinds::synchronization(), rw);
-    moderator.register_aspect(m, runtime::kinds::audit(), audit);
+    cells.push_back({m, runtime::kinds::authentication(), auth});
+    cells.push_back({m, runtime::kinds::authorization(), roles});
+    cells.push_back({m, runtime::kinds::synchronization(), rw});
+    cells.push_back({m, runtime::kinds::audit(), audit});
   }
   for (const auto m : readers) {
-    moderator.register_aspect(m, runtime::kinds::synchronization(), rw);
-    moderator.register_aspect(m, runtime::kinds::audit(), audit);
+    cells.push_back({m, runtime::kinds::synchronization(), rw});
+    cells.push_back({m, runtime::kinds::audit(), audit});
   }
+  moderator.bank().register_aspects(std::move(cells));
   return proxy;
 }
 

@@ -36,12 +36,13 @@ Result<std::unique_ptr<DurableAuctionApp>> DurableAuctionApp::open(
   rw->add_reader(query_method());
 
   app->persist_ = std::make_shared<storage::PersistenceAspect>(*app->storage_);
+  std::vector<core::Binding> cells;
   for (const auto m : writers) {
-    moderator.register_aspect(m, runtime::kinds::synchronization(), rw);
-    moderator.register_aspect(m, runtime::kinds::persistence(), app->persist_);
+    cells.push_back({m, runtime::kinds::synchronization(), rw});
+    cells.push_back({m, runtime::kinds::persistence(), app->persist_});
   }
-  moderator.register_aspect(query_method(), runtime::kinds::synchronization(),
-                            rw);
+  cells.push_back({query_method(), runtime::kinds::synchronization(), rw});
+  moderator.bank().register_aspects(std::move(cells));
 
   // Same exclusive recovery phase as the ticket app (DESIGN.md §15.5).
   auto stats = [&] {

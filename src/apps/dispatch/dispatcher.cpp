@@ -23,10 +23,9 @@ TicketDispatcher::TicketDispatcher(std::size_t backends, std::size_t capacity,
     proxy->moderator().bank().set_kind_order(
         {runtime::kinds::fault_tolerance(),
          runtime::kinds::synchronization()});
-    proxy->moderator().register_aspect(
-        open_method(), runtime::kinds::fault_tolerance(), breaker);
-    proxy->moderator().register_aspect(
-        assign_method(), runtime::kinds::fault_tolerance(), breaker);
+    proxy->moderator().bank().register_aspects(
+        {{open_method(), runtime::kinds::fault_tolerance(), breaker},
+         {assign_method(), runtime::kinds::fault_tolerance(), breaker}});
     backends_.push_back(std::move(proxy));
     breakers_.push_back(std::move(breaker));
     routed_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));

@@ -39,21 +39,22 @@ std::shared_ptr<ReservationProxy> make_reservation_proxy(
 
   auto sched = std::make_shared<aspects::PrioritySchedulingAspect>();
 
+  std::vector<core::Binding> cells;
   for (const auto m : {reserve_method(), cancel_method()}) {
-    moderator.register_aspect(m, runtime::kinds::scheduling(), sched);
-    moderator.register_aspect(m, runtime::kinds::synchronization(), rw);
+    cells.push_back({m, runtime::kinds::scheduling(), sched});
+    cells.push_back({m, runtime::kinds::synchronization(), rw});
   }
-  moderator.register_aspect(query_method(),
-                            runtime::kinds::synchronization(), rw);
+  cells.push_back({query_method(), runtime::kinds::synchronization(), rw});
 
   if (metrics != nullptr) {
     auto timing = std::make_shared<aspects::TimingAspect>(
         *metrics, *options.clock, "reservation");
     for (const auto m :
          {reserve_method(), cancel_method(), query_method()}) {
-      moderator.register_aspect(m, runtime::kinds::timing(), timing);
+      cells.push_back({m, runtime::kinds::timing(), timing});
     }
   }
+  moderator.bank().register_aspects(std::move(cells));
   return proxy;
 }
 

@@ -85,20 +85,21 @@ Store::Store(const runtime::CredentialStore& sessions,
       {m_release(), inv_mx, true},  {m_deposit(), ledger_mx, true},
       {m_charge(), ledger_mx, true}, {m_record(), orders_mx, true},
   };
+  std::vector<core::Binding> cells;
   for (const auto& w : wiring) {
     if (w.needs_auth) {
-      mod.register_aspect(w.m, runtime::kinds::authentication(), auth);
+      cells.push_back({w.m, runtime::kinds::authentication(), auth});
     }
-    mod.register_aspect(w.m, runtime::kinds::synchronization(), w.mx);
-    mod.register_aspect(w.m, runtime::kinds::audit(), audit);
+    cells.push_back({w.m, runtime::kinds::synchronization(), w.mx});
+    cells.push_back({w.m, runtime::kinds::audit(), audit});
   }
-  mod.register_aspect(m_stock(), runtime::kinds::authorization(), roles);
-  mod.register_aspect(m_query_inv(), runtime::kinds::synchronization(),
-                      inv_mx);
-  mod.register_aspect(m_query_ledger(), runtime::kinds::synchronization(),
-                      ledger_mx);
-  mod.register_aspect(m_query_orders(), runtime::kinds::synchronization(),
-                      orders_mx);
+  cells.push_back({m_stock(), runtime::kinds::authorization(), roles});
+  cells.push_back({m_query_inv(), runtime::kinds::synchronization(), inv_mx});
+  cells.push_back(
+      {m_query_ledger(), runtime::kinds::synchronization(), ledger_mx});
+  cells.push_back(
+      {m_query_orders(), runtime::kinds::synchronization(), orders_mx});
+  mod.bank().register_aspects(std::move(cells));
 }
 
 std::int64_t Store::price_of(const std::string& item) const {

@@ -65,11 +65,13 @@ Result<std::unique_ptr<DurableTicketApp>> DurableTicketApp::open(
   // open/assign body or postaction is mid-flight (see checkpoint()).
   exclusion->add_writer(checkpoint_method());
   app->persist_ = std::make_shared<storage::PersistenceAspect>(*app->storage_);
+  std::vector<core::Binding> cells;
   for (const auto m : {open_method(), assign_method()}) {
-    moderator.register_aspect(m, exclusion_kind(), exclusion);
-    moderator.register_aspect(m, runtime::kinds::persistence(), app->persist_);
+    cells.push_back({m, exclusion_kind(), exclusion});
+    cells.push_back({m, runtime::kinds::persistence(), app->persist_});
   }
-  moderator.register_aspect(checkpoint_method(), exclusion_kind(), exclusion);
+  cells.push_back({checkpoint_method(), exclusion_kind(), exclusion});
+  moderator.bank().register_aspects(std::move(cells));
   // The base wiring's plans predate the checkpoint method; its guard reads
   // the writer slot that open/assign postactions release, so their plans
   // must include it (and its completion must wake them).

@@ -65,11 +65,12 @@ void extend_with_authentication(TicketProxy& proxy,
   // unwind in reverse.
   moderator.bank().set_kind_order(
       {runtime::kinds::authentication(), runtime::kinds::synchronization()});
+  // Both cells publish in one epoch: no caller sees `open` demanding
+  // credentials while `assign` does not.
   auto aspect = std::make_shared<aspects::AuthenticationAspect>(store);
-  moderator.register_aspect(open_method(), runtime::kinds::authentication(),
-                            aspect);
-  moderator.register_aspect(assign_method(), runtime::kinds::authentication(),
-                            aspect);
+  moderator.bank().register_aspects(
+      {{open_method(), runtime::kinds::authentication(), aspect},
+       {assign_method(), runtime::kinds::authentication(), aspect}});
 }
 
 PaperStyleTicketProxy::PaperStyleTicketProxy(std::size_t capacity,

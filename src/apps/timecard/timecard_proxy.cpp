@@ -47,18 +47,17 @@ std::shared_ptr<TimecardProxy> make_timecard_proxy(
   rw->add_reader(report_method());
   auto audit = std::make_shared<aspects::AuditAspect>(audit_log, "audit");
 
+  std::vector<core::Binding> cells;
   for (const auto m : {submit_method(), approve_method()}) {
-    moderator.register_aspect(m, runtime::kinds::authentication(), auth);
-    moderator.register_aspect(m, runtime::kinds::synchronization(), rw);
-    moderator.register_aspect(m, runtime::kinds::audit(), audit);
+    cells.push_back({m, runtime::kinds::authentication(), auth});
+    cells.push_back({m, runtime::kinds::synchronization(), rw});
+    cells.push_back({m, runtime::kinds::audit(), audit});
   }
-  moderator.register_aspect(approve_method(),
-                            runtime::kinds::authorization(), roles);
-  moderator.register_aspect(submit_method(), runtime::kinds::quota(),
-                            limiter);
-  moderator.register_aspect(report_method(),
-                            runtime::kinds::synchronization(), rw);
-  moderator.register_aspect(report_method(), runtime::kinds::audit(), audit);
+  cells.push_back({approve_method(), runtime::kinds::authorization(), roles});
+  cells.push_back({submit_method(), runtime::kinds::quota(), limiter});
+  cells.push_back({report_method(), runtime::kinds::synchronization(), rw});
+  cells.push_back({report_method(), runtime::kinds::audit(), audit});
+  moderator.bank().register_aspects(std::move(cells));
   return proxy;
 }
 

@@ -11,12 +11,13 @@ namespace {
 // aspect's hook table comes from its compile() override (devirtualized
 // thunks for final classes, generic virtual thunks otherwise); the
 // presence bits let the moderator skip whole phases no aspect implements.
-CompiledChain compile_chain(const AspectChain& chain, bool fallback = false) {
+CompiledChain compile_chain(std::vector<BankEntry> chain,
+                            bool fallback = false) {
   auto cc = std::make_shared<CompiledChainData>();
-  cc->source = chain;
+  cc->entries = std::move(chain);
   cc->fallback = fallback;
-  cc->ops.reserve(chain->size());
-  for (const BankEntry& e : *chain) {
+  cc->ops.reserve(cc->entries.size());
+  for (const BankEntry& e : cc->entries) {
     CompiledOp op;
     op.aspect = e.aspect.get();
     op.owner = &e.aspect;
@@ -30,12 +31,28 @@ CompiledChain compile_chain(const AspectChain& chain, bool fallback = false) {
   }
   return cc;
 }
+
+bool before(const Binding& a, const Binding& b) {
+  return a.method < b.method || (a.method == b.method && a.kind < b.kind);
+}
+
+bool same_cell(const Binding& a, const Binding& b) {
+  return a.method == b.method && a.kind == b.kind;
+}
+
+// Where cell (method, kind) is in the sorted cells, or would go.
+template <typename Cells>
+auto cell_at(Cells& cells, runtime::MethodId method,
+             runtime::AspectKind kind) {
+  const Binding key{method, kind, nullptr};
+  const auto it = std::lower_bound(cells.begin(), cells.end(), key, before);
+  return it != cells.end() && same_cell(*it, key) ? it : cells.end();
+}
 }  // namespace
 
-const AspectChain AspectBank::kEmptyChain =
-    std::make_shared<const std::vector<BankEntry>>();
-const CompiledChain AspectBank::kEmptyCompiled =
-    compile_chain(AspectBank::kEmptyChain);
+// No chain: trivially non-blocking (nothing can block or be raced).
+const AspectBank::MethodRecord AspectBank::kUnregistered{
+    {}, compile_chain({}), nullptr, true};
 
 void AspectBank::set_kind_order(std::vector<runtime::AspectKind> order) {
   {
@@ -53,12 +70,32 @@ std::vector<runtime::AspectKind> AspectBank::kind_order() const {
 
 void AspectBank::register_aspect(runtime::MethodId method,
                                  runtime::AspectKind kind, AspectPtr aspect) {
+  std::vector<Binding> one;
+  one.push_back(Binding{method, kind, std::move(aspect)});
+  register_aspects(std::move(one));
+}
+
+void AspectBank::register_aspects(std::vector<Binding> bindings) {
+  if (bindings.empty()) return;
   {
     std::scoped_lock lock(mu_);
-    if (std::find(order_.begin(), order_.end(), kind) == order_.end()) {
-      order_.push_back(kind);
+    // Reserve first: after these, nothing in the loop can throw, so a
+    // failed allocation cannot leave half a batch in the cells for the
+    // next mutation to publish.
+    order_.reserve(order_.size() + bindings.size());
+    cells_.reserve(cells_.size() + bindings.size());
+    for (Binding& b : bindings) {
+      if (std::find(order_.begin(), order_.end(), b.kind) == order_.end()) {
+        order_.push_back(b.kind);
+      }
+      const auto it =
+          std::lower_bound(cells_.begin(), cells_.end(), b, before);
+      if (it != cells_.end() && same_cell(*it, b)) {
+        it->aspect = std::move(b.aspect);
+      } else {
+        cells_.insert(it, std::move(b));
+      }
     }
-    cells_[method][kind] = std::move(aspect);
     publish_locked();
   }
   run_barrier();
@@ -68,13 +105,25 @@ bool AspectBank::remove_aspect(runtime::MethodId method,
                                runtime::AspectKind kind) {
   {
     std::scoped_lock lock(mu_);
-    auto it = cells_.find(method);
+    const auto it = cell_at(cells_, method, kind);
     if (it == cells_.end()) return false;
-    if (it->second.erase(kind) == 0) return false;
+    cells_.erase(it);
     publish_locked();
   }
   run_barrier();
   return true;
+}
+
+bool AspectBank::occupies_locked(const Aspect* aspect) const {
+  const auto holds = [&](const auto& cell) {
+    return cell.aspect.get() == aspect;
+  };
+  return std::any_of(cells_.begin(), cells_.end(), holds) ||
+         std::any_of(fallbacks_.begin(), fallbacks_.end(),
+                     [&](const auto& fb) {
+                       return std::any_of(fb.second.begin(), fb.second.end(),
+                                          holds);
+                     });
 }
 
 bool AspectBank::quarantine(const Aspect* aspect) {
@@ -83,26 +132,7 @@ bool AspectBank::quarantine(const Aspect* aspect) {
     // The target must hold a cell or a fallback slot — quarantining a
     // member of a declared degraded mode is as legitimate as quarantining
     // the primary it stands in for.
-    bool holds_cell = false;
-    for (const auto& [_, kinds] : cells_) {
-      for (const auto& [_k, a] : kinds) {
-        if (a.get() == aspect) {
-          holds_cell = true;
-          break;
-        }
-      }
-      if (holds_cell) break;
-    }
-    for (auto it = fallbacks_.begin(); !holds_cell && it != fallbacks_.end();
-         ++it) {
-      for (const BankEntry& e : it->second) {
-        if (e.aspect.get() == aspect) {
-          holds_cell = true;
-          break;
-        }
-      }
-    }
-    if (!holds_cell) return false;
+    if (!occupies_locked(aspect)) return false;
     if (!quarantined_.insert(aspect).second) return false;
     publish_locked();
   }
@@ -151,7 +181,7 @@ bool AspectBank::clear_fallback(runtime::MethodId method) {
 }
 
 bool AspectBank::fallback_active(runtime::MethodId method) const {
-  return snapshot()->fallback_active.contains(method);
+  return snapshot()->find(method).compiled->fallback;
 }
 
 void AspectBank::set_health(runtime::HealthRegistry* health) {
@@ -195,57 +225,48 @@ std::vector<std::string> AspectBank::quarantined() const {
 AspectPtr AspectBank::find(runtime::MethodId method,
                            runtime::AspectKind kind) const {
   std::scoped_lock lock(mu_);
-  auto it = cells_.find(method);
-  if (it == cells_.end()) return nullptr;
-  auto jt = it->second.find(kind);
-  return jt == it->second.end() ? nullptr : jt->second;
+  const auto it = cell_at(cells_, method, kind);
+  return it == cells_.end() ? nullptr : it->aspect;
+}
+
+const AspectBank::MethodRecord& AspectBank::Composition::find(
+    runtime::MethodId method) const {
+  const auto it = std::lower_bound(
+      methods.begin(), methods.end(), method,
+      [](const MethodRecord& r, runtime::MethodId m) { return r.method < m; });
+  return it != methods.end() && it->method == method ? *it : kUnregistered;
 }
 
 AspectChain AspectBank::chain(runtime::MethodId method) const {
-  const auto snap = snapshot();
-  auto it = snap->chains.find(method);
-  return it == snap->chains.end() ? kEmptyChain : it->second;
+  CompiledChain compiled = snapshot()->find(method).compiled;
+  const auto* entries = &compiled->entries;
+  return AspectChain(std::move(compiled), entries);
 }
 
 CompiledChain AspectBank::compiled_chain(runtime::MethodId method) const {
-  const auto snap = snapshot();
-  auto it = snap->compiled.find(method);
-  return it == snap->compiled.end() ? kEmptyCompiled : it->second;
+  return snapshot()->find(method).compiled;
 }
 
 LockGroup AspectBank::lock_group(runtime::MethodId method) const {
-  const auto snap = snapshot();
-  auto it = snap->groups.find(method);
-  return it == snap->groups.end() ? nullptr : it->second;
+  return snapshot()->find(method).group;
 }
 
-void AspectBank::snapshot_for(runtime::MethodId method, AspectChain* chain,
-                              LockGroup* group, bool* nonblocking,
-                              CompiledChain* compiled) const {
+void AspectBank::snapshot_for(runtime::MethodId method,
+                              CompiledChain* compiled, LockGroup* group,
+                              bool* nonblocking) const {
   const auto snap = snapshot();
-  auto ct = snap->chains.find(method);
-  *chain = ct == snap->chains.end() ? kEmptyChain : ct->second;
-  auto gt = snap->groups.find(method);
-  *group = gt == snap->groups.end() ? nullptr : gt->second;
-  if (nonblocking != nullptr) {
-    // No chain ⇒ trivially non-blocking (nothing can block or be raced).
-    *nonblocking =
-        ct == snap->chains.end() || snap->nonblocking.contains(method);
-  }
-  if (compiled != nullptr) {
-    auto pt = snap->compiled.find(method);
-    *compiled = pt == snap->compiled.end() ? kEmptyCompiled : pt->second;
-  }
+  const MethodRecord& rec = snap->find(method);
+  *compiled = rec.compiled;
+  *group = rec.group;
+  if (nonblocking != nullptr) *nonblocking = rec.nonblocking;
 }
 
 bool AspectBank::nonblocking(runtime::MethodId method) const {
-  const auto snap = snapshot();
-  return !snap->chains.contains(method) ||
-         snap->nonblocking.contains(method);
+  return snapshot()->find(method).nonblocking;
 }
 
 bool AspectBank::any_nonblocking() const {
-  return !snapshot()->nonblocking.empty();
+  return snapshot()->any_nonblocking;
 }
 
 std::shared_ptr<const AspectBank::Composition> AspectBank::snapshot() const {
@@ -256,18 +277,15 @@ std::shared_ptr<const AspectBank::Composition> AspectBank::snapshot() const {
 std::vector<runtime::MethodId> AspectBank::methods() const {
   std::scoped_lock lock(mu_);
   std::vector<runtime::MethodId> out;
-  out.reserve(cells_.size());
-  for (const auto& [method, kinds] : cells_) {
-    if (!kinds.empty()) out.push_back(method);
+  for (const Binding& c : cells_) {
+    if (out.empty() || out.back() != c.method) out.push_back(c.method);
   }
   return out;
 }
 
 std::size_t AspectBank::size() const {
   std::scoped_lock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [_, kinds] : cells_) n += kinds.size();
-  return n;
+  return cells_.size();
 }
 
 std::string AspectBank::describe() const {
@@ -279,52 +297,40 @@ std::string AspectBank::describe() const {
     out += kind.name();
   }
   out += '\n';
-  if (!quarantined_.empty()) {
-    std::vector<std::string> names;
-    names.reserve(quarantined_.size());
-    for (const Aspect* a : quarantined_) names.emplace_back(a->name());
+  const auto line = [&](std::string_view label,
+                        std::vector<std::string> names) {
+    if (names.empty()) return;
     std::sort(names.begin(), names.end());
-    out += "quarantined:";
+    out += label;
     for (const auto& n : names) {
       out += ' ';
       out += n;
     }
     out += '\n';
+  };
+  std::vector<std::string> quarantined;
+  for (const Aspect* a : quarantined_) quarantined.emplace_back(a->name());
+  line("quarantined:", std::move(quarantined));
+  std::vector<std::string> fallback;
+  for (const MethodRecord& rec : snap->methods) {
+    if (rec.compiled->fallback) fallback.emplace_back(rec.method.name());
   }
-  if (!snap->fallback_active.empty()) {
-    std::vector<std::string> names;
-    names.reserve(snap->fallback_active.size());
-    for (const auto method : snap->fallback_active) {
-      names.emplace_back(method.name());
-    }
-    std::sort(names.begin(), names.end());
-    out += "fallback-active:";
-    for (const auto& n : names) {
-      out += ' ';
-      out += n;
-    }
-    out += '\n';
-  }
+  line("fallback-active:", std::move(fallback));
   // Sort methods by name for a stable, diff-friendly dump.
-  std::vector<runtime::MethodId> methods;
-  for (const auto& [method, kinds] : cells_) {
-    if (!kinds.empty()) methods.push_back(method);
-  }
-  std::sort(methods.begin(), methods.end(),
-            [](runtime::MethodId a, runtime::MethodId b) {
-              return a.name() < b.name();
+  std::vector<const MethodRecord*> records;
+  for (const MethodRecord& rec : snap->methods) records.push_back(&rec);
+  std::sort(records.begin(), records.end(),
+            [](const MethodRecord* a, const MethodRecord* b) {
+              return a->method.name() < b->method.name();
             });
-  for (const auto method : methods) {
-    out += std::string(method.name()) + ":";
-    auto it = snap->chains.find(method);
-    if (it != snap->chains.end()) {
-      for (const auto& entry : *it->second) {
-        out += " [";
-        out += entry.kind.name();
-        out += '/';
-        out += entry.aspect->name();
-        out += ']';
-      }
+  for (const MethodRecord* rec : records) {
+    out += std::string(rec->method.name()) + ":";
+    for (const auto& entry : rec->compiled->entries) {
+      out += " [";
+      out += entry.kind.name();
+      out += '/';
+      out += entry.aspect->name();
+      out += ']';
     }
     out += '\n';
   }
@@ -332,22 +338,11 @@ std::string AspectBank::describe() const {
 }
 
 void AspectBank::publish_locked() {
-  auto next = std::make_shared<Composition>();
-
   // Prune quarantine entries whose object no longer holds any cell (nor a
   // fallback slot), so a removed-then-reregistered address cannot inherit
   // a stale quarantine.
-  if (!quarantined_.empty()) {
-    std::unordered_set<const Aspect*> live;
-    for (const auto& [_, kinds] : cells_) {
-      for (const auto& [_k, aspect] : kinds) live.insert(aspect.get());
-    }
-    for (const auto& [_, entries] : fallbacks_) {
-      for (const BankEntry& e : entries) live.insert(e.aspect.get());
-    }
-    std::erase_if(quarantined_,
-                  [&](const Aspect* a) { return !live.contains(a); });
-  }
+  std::erase_if(quarantined_,
+                [&](const Aspect* a) { return !occupies_locked(a); });
   // A primary member is impaired when it is quarantined or when the health
   // registry reports its declared resource fenced (or probing a fence). A
   // single impaired member trips the WHOLE composition to its fallback —
@@ -361,86 +356,116 @@ void AspectBank::publish_locked() {
     return false;
   };
 
+  auto next = std::make_shared<Composition>();
+  std::size_t method_count = 0;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    method_count += i == 0 || cells_[i].method != cells_[i - 1].method;
+  }
+  next->methods.reserve(method_count);
+  std::size_t op_count = 0;
+
   // Effective chains: the fallback chain (in its declared order) when the
   // method declared one and any primary member is impaired; otherwise the
   // primary chain in kind order minus quarantined members. Everything
   // downstream — classification, compiled plans, lock groups — derives
   // from the effective chain, so a swap changes ALL of them in one epoch.
-  next->chains.reserve(cells_.size());
-  for (const auto& [method, kinds] : cells_) {
-    bool use_fallback = false;
-    if (auto fb = fallbacks_.find(method); fb != fallbacks_.end()) {
-      for (const auto& [_, aspect] : kinds) {
-        if (impaired(aspect)) {
-          use_fallback = true;
-          break;
-        }
-      }
-    }
-    auto chain = std::make_shared<std::vector<BankEntry>>();
+  // cells_ is sorted by method, so each method's cells are one run and the
+  // records come out sorted.
+  for (auto run = cells_.begin(); run != cells_.end();) {
+    const runtime::MethodId method = run->method;
+    const auto end = std::find_if(run, cells_.end(), [&](const Binding& c) {
+      return c.method != method;
+    });
+    const auto fb = fallbacks_.find(method);
+    const bool use_fallback =
+        fb != fallbacks_.end() &&
+        std::any_of(run, end, [&](const Binding& c) {
+          return impaired(c.aspect);
+        });
+    std::vector<BankEntry> chain;
     if (use_fallback) {
-      const auto& entries = fallbacks_.find(method)->second;
-      chain->reserve(entries.size());
-      for (const BankEntry& e : entries) {
+      chain.reserve(fb->second.size());
+      for (const BankEntry& e : fb->second) {
         // Quarantine still excludes individual fallback members; there is
         // no second-level fallback.
-        if (!quarantined_.contains(e.aspect.get())) chain->push_back(e);
+        if (!quarantined_.contains(e.aspect.get())) chain.push_back(e);
       }
-      next->fallback_active.insert(method);
     } else {
-      chain->reserve(kinds.size());
+      chain.reserve(static_cast<std::size_t>(end - run));
       for (const auto kind : order_) {
-        if (auto jt = kinds.find(kind);
-            jt != kinds.end() && !quarantined_.contains(jt->second.get())) {
-          chain->push_back(BankEntry{kind, jt->second});
+        const auto cell = std::find_if(
+            run, end, [&](const Binding& c) { return c.kind == kind; });
+        if (cell != end && !quarantined_.contains(cell->aspect.get())) {
+          chain.push_back(BankEntry{kind, cell->aspect});
         }
       }
     }
     // Classify: the chain is non-blocking iff EVERY surviving aspect
     // declares the capability for this method (vacuously true when empty).
     // Classification happens here — not per call — so the moderation hot
-    // path learns eligibility with one set lookup per epoch.
-    bool all_nonblocking = true;
-    for (const auto& entry : *chain) {
-      if (!entry.aspect->nonblocking(method)) {
-        all_nonblocking = false;
-        break;
-      }
-    }
-    if (all_nonblocking) next->nonblocking.insert(method);
-    AspectChain published(std::move(chain));
+    // path learns eligibility once per epoch.
+    const bool nonblocking =
+        std::all_of(chain.begin(), chain.end(), [&](const BankEntry& e) {
+          return e.aspect->nonblocking(method);
+        });
+    next->any_nonblocking |= nonblocking;
+    op_count += chain.size();
     // Compose-time compilation: resolve every hook thunk now so no
     // invocation ever pays for it (Pluggable-AOP's "pay at composition").
-    next->compiled[method] = compile_chain(published, use_fallback);
-    next->chains[method] = std::move(published);
+    next->methods.push_back(MethodRecord{
+        method, compile_chain(std::move(chain), use_fallback), nullptr,
+        nonblocking});
+    run = end;
   }
 
-  // Lock groups: invert the EFFECTIVE chains into aspect-object → holder
-  // methods, then union the holder sets of each method's aspects. Methods
-  // whose aspects are all exclusively theirs get no entry (lock_group →
-  // nullptr), which the moderator reads as "own lock suffices". Deriving
-  // from effective chains means a fallback swap recomputes sharing too: a
+  // Lock groups: a method's group is itself plus every method whose
+  // EFFECTIVE chain holds one of its aspects. Sorting (aspect, method)
+  // pairs makes each aspect's holders one contiguous run, found by binary
+  // search; a method's group is the sorted union of its aspects' runs.
+  // Methods whose aspects are all exclusively theirs keep a null group,
+  // which the moderator reads as "own lock suffices". Deriving from
+  // effective chains means a fallback swap recomputes sharing too: a
   // fallback aspect shared across methods creates a group, and a primary
   // group member sidelined by the swap stops costing its siblings a lock.
-  std::unordered_map<const Aspect*, std::vector<runtime::MethodId>> holders;
-  for (const auto& [method, chain] : next->chains) {
-    for (const BankEntry& e : *chain) {
-      holders[e.aspect.get()].push_back(method);
+  using Holder = std::pair<const Aspect*, runtime::MethodId>;
+  const auto by_aspect = [](const Holder& a, const Holder& b) {
+    return std::less<>{}(a.first, b.first);
+  };
+  std::vector<Holder> holders;
+  holders.reserve(op_count);
+  for (const MethodRecord& rec : next->methods) {
+    for (const CompiledOp& op : rec.compiled->ops) {
+      holders.emplace_back(op.aspect, rec.method);
     }
   }
-  for (const auto& [method, chain] : next->chains) {
-    std::vector<runtime::MethodId> group{method};
-    for (const BankEntry& e : *chain) {
-      const auto& sharing = holders[e.aspect.get()];
-      group.insert(group.end(), sharing.begin(), sharing.end());
+  std::sort(holders.begin(), holders.end(),
+            [&](const Holder& a, const Holder& b) {
+              return by_aspect(a, b) ||
+                     (a.first == b.first && a.second < b.second);
+            });
+  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+  const auto run_of = [&](const CompiledOp& op) {
+    return std::equal_range(holders.begin(), holders.end(),
+                            Holder{op.aspect, {}}, by_aspect);
+  };
+  for (MethodRecord& rec : next->methods) {
+    std::size_t total = 0;
+    for (const CompiledOp& op : rec.compiled->ops) {
+      const auto [lo, hi] = run_of(op);
+      total += static_cast<std::size_t>(hi - lo);
+    }
+    // Every run holds the method itself; only a longer one shares.
+    if (total == rec.compiled->ops.size()) continue;
+    std::vector<runtime::MethodId> group;
+    group.reserve(total);
+    for (const CompiledOp& op : rec.compiled->ops) {
+      const auto [lo, hi] = run_of(op);
+      for (auto it = lo; it != hi; ++it) group.push_back(it->second);
     }
     std::sort(group.begin(), group.end());
     group.erase(std::unique(group.begin(), group.end()), group.end());
-    if (group.size() > 1) {
-      next->groups[method] =
-          std::make_shared<const std::vector<runtime::MethodId>>(
-              std::move(group));
-    }
+    rec.group =
+        std::make_shared<const std::vector<runtime::MethodId>>(std::move(group));
   }
 
   {

@@ -8,9 +8,11 @@
 // synchronization) — is explicit and queryable.
 //
 // Reads on the moderation hot path are epoch-versioned RCU: every mutation
-// publishes a fresh immutable Composition snapshot (all chains plus the
-// lock groups derived from aspect sharing) and bumps `version()`. Readers
-// pay one pointer copy under a leaf mutex — and callers that cached a
+// publishes a fresh immutable Composition snapshot (one record per method:
+// its chain, compiled plan, lock group and classification bits) and bumps
+// `version()`. A batch of registrations is one mutation, so wiring a whole
+// component costs one publish, not one per cell. Readers pay one pointer
+// copy under a leaf mutex plus a binary search — and callers that cached a
 // chain at epoch E skip even that while `version()` (lock-free) still
 // reads E, which is what keeps re-evaluations of blocked callers cheap.
 #pragma once
@@ -49,9 +51,16 @@ struct BankEntry {
 /// Immutable snapshot of a method's ordered aspect chain.
 using AspectChain = std::shared_ptr<const std::vector<BankEntry>>;
 
+/// One cell to register: the aspect for (method, kind).
+struct Binding {
+  runtime::MethodId method;
+  runtime::AspectKind kind;
+  AspectPtr aspect;
+};
+
 /// One position of a compiled chain: the aspect, its publish-time-resolved
 /// hook table, and a pointer back to the owning cell (the fault firewall
-/// books faults against the shared_ptr; it points into `source` below, so
+/// books faults against the shared_ptr; it points into `entries` below, so
 /// it stays valid as long as the compiled chain does).
 struct CompiledOp {
   Aspect* aspect = nullptr;
@@ -66,8 +75,8 @@ struct CompiledOp {
 /// dispatch for aspects that compiled devirtualized thunks, and whole
 /// phases skipped when no composed aspect implements them.
 struct CompiledChainData {
-  AspectChain source;           // pins the entries `owner` points into
-  std::vector<CompiledOp> ops;  // kind order; postactions run in reverse
+  std::vector<BankEntry> entries;  // the chain; `owner` points into it
+  std::vector<CompiledOp> ops;     // kind order; postactions run in reverse
   bool any_guard = false;
   bool any_arrive = false;
   bool any_entry = false;
@@ -109,9 +118,20 @@ class AspectBank {
 
   /// Registers (or replaces) the aspect in cell (method, kind) — the
   /// paper's `registerAspect`. Replacing is what makes the system adaptable
-  /// at run time.
+  /// at run time. The one-cell case of register_aspects().
   void register_aspect(runtime::MethodId method, runtime::AspectKind kind,
                        AspectPtr aspect);
+
+  /// Registers (or replaces) every cell of `bindings` as ONE mutation: one
+  /// publish, one `version()` bump and one recomposition barrier, so no
+  /// caller observes a half-wired composition. Bindings apply in order —
+  /// a cell given twice ends with the later aspect, and new kinds append
+  /// to the kind order in first-binding order, as the same calls to
+  /// register_aspect() would. No state between two bindings is ever
+  /// published: a quarantined aspect that leaves its last cell and comes
+  /// back within the batch stays quarantined. An empty batch publishes
+  /// nothing.
+  void register_aspects(std::vector<Binding> bindings);
 
   /// Removes a cell; returns false if it was empty.
   bool remove_aspect(runtime::MethodId method, runtime::AspectKind kind);
@@ -182,7 +202,8 @@ class AspectBank {
   /// the shared empty plan). Built at publish time; same epoch as chain().
   CompiledChain compiled_chain(runtime::MethodId method) const;
 
-  /// Composition epoch: bumps on every register/remove/set_kind_order.
+  /// Composition epoch: bumps once per mutation (a register_aspects batch,
+  /// a remove, a set_kind_order, ...).
   /// A caller holding a chain (or lock group) obtained at epoch E may keep
   /// using it without re-reading while `version() == E`.
   std::uint64_t version() const {
@@ -194,14 +215,13 @@ class AspectBank {
   /// the method's own lock.
   LockGroup lock_group(runtime::MethodId method) const;
 
-  /// Fetches chain and lock group from ONE consistent snapshot (a single
-  /// pointer copy); what preactivation uses per composition epoch. When
-  /// `nonblocking` is non-null it receives the snapshot's classification of
-  /// the method's chain (see nonblocking()); when `compiled` is non-null it
-  /// receives the same snapshot's compiled execution plan.
-  void snapshot_for(runtime::MethodId method, AspectChain* chain,
-                    LockGroup* group, bool* nonblocking = nullptr,
-                    CompiledChain* compiled = nullptr) const;
+  /// Fetches the compiled plan (whose `entries` are the chain) and the
+  /// lock group from ONE consistent snapshot (a single pointer copy); what
+  /// preactivation uses per composition epoch. When `nonblocking` is
+  /// non-null it receives the snapshot's classification of the method's
+  /// chain (see nonblocking()).
+  void snapshot_for(runtime::MethodId method, CompiledChain* compiled,
+                    LockGroup* group, bool* nonblocking = nullptr) const;
 
   /// Whether `method`'s currently published chain is classified
   /// *non-blocking*: every composed aspect (after quarantine exclusion)
@@ -247,24 +267,33 @@ class AspectBank {
   }
 
  private:
-  /// The unit of publication: everything a hot-path reader needs, rebuilt
-  /// wholesale under mu_ on every mutation and swapped in atomically.
+  /// Everything a hot-path reader needs about one method, derived at
+  /// publish from its effective chain.
+  struct MethodRecord {
+    runtime::MethodId method;
+    // The flat execution plan (hook thunks resolved at publish, per-phase
+    // presence bits, the fallback bit); chain() aliases its entries.
+    CompiledChain compiled;
+    LockGroup group;  // nullptr: the method's own lock suffices
+    // Every surviving aspect declares Aspect::nonblocking(method).
+    bool nonblocking = true;
+  };
+
+  /// The unit of publication: one record per method that holds a cell,
+  /// sorted by method, rebuilt wholesale under mu_ on every mutation and
+  /// swapped in atomically.
   struct Composition {
-    std::unordered_map<runtime::MethodId, AspectChain> chains;
-    // Parallel to `chains`: the flat compiled execution plan of each chain
-    // (hook thunks resolved at publish, per-phase presence bits).
-    std::unordered_map<runtime::MethodId, CompiledChain> compiled;
-    std::unordered_map<runtime::MethodId, LockGroup> groups;
-    // Methods whose published chain is entirely non-blocking-capable
-    // (methods with an empty/no chain are trivially non-blocking and are
-    // NOT listed — absence from `chains` implies eligibility).
-    std::unordered_set<runtime::MethodId> nonblocking;
-    // Methods currently published with their fallback chain.
-    std::unordered_set<runtime::MethodId> fallback_active;
+    std::vector<MethodRecord> methods;
+    bool any_nonblocking = false;
+    /// `method`'s record, or kUnregistered (the empty chain).
+    const MethodRecord& find(runtime::MethodId method) const;
   };
 
   // Requires mu_. Rebuilds the snapshot from cells_/order_ and publishes it.
   void publish_locked();
+
+  // Requires mu_. Whether `aspect` holds a cell or a fallback slot.
+  bool occupies_locked(const Aspect* aspect) const;
 
   std::shared_ptr<const Composition> snapshot() const;
 
@@ -275,9 +304,8 @@ class AspectBank {
 
   mutable std::mutex mu_;
   std::vector<runtime::AspectKind> order_;
-  std::unordered_map<runtime::MethodId,
-                     std::unordered_map<runtime::AspectKind, AspectPtr>>
-      cells_;
+  // Every occupied cell, sorted by (method, kind).
+  std::vector<Binding> cells_;
   // Aspect objects excluded from published snapshots. Guarded by mu_;
   // entries whose last cell disappears are pruned by publish_locked().
   std::unordered_set<const Aspect*> quarantined_;
@@ -296,8 +324,7 @@ class AspectBank {
   std::shared_ptr<const Composition> snapshot_ =
       std::make_shared<const Composition>();
   std::atomic<std::uint64_t> version_{1};
-  static const AspectChain kEmptyChain;
-  static const CompiledChain kEmptyCompiled;
+  static const MethodRecord kUnregistered;
 };
 
 }  // namespace amf::core

@@ -35,15 +35,18 @@ std::size_t equip_from_factory(AspectModerator& moderator,
                                AspectFactory& factory,
                                std::span<const runtime::MethodId> methods,
                                std::span<const runtime::AspectKind> kinds) {
-  std::size_t registered = 0;
+  // Creators run here, outside the bank lock; the cells then publish as
+  // one composition.
+  std::vector<Binding> cells;
   for (const auto method : methods) {
     for (const auto kind : kinds) {
       if (auto aspect = factory.create(method, kind)) {
-        moderator.register_aspect(method, kind, std::move(aspect));
-        ++registered;
+        cells.push_back(Binding{method, kind, std::move(aspect)});
       }
     }
   }
+  const std::size_t registered = cells.size();
+  moderator.bank().register_aspects(std::move(cells));
   return registered;
 }
 

@@ -80,9 +80,9 @@ class ChainedAspectFactory : public AspectFactory {
 };
 
 /// Reproduces the Fig. 5 proxy constructor as a reusable helper: for every
-/// (method, kind) combination, asks the factory for an aspect and registers
-/// whatever it returns with the moderator. Returns the number of aspects
-/// registered.
+/// (method, kind) combination, asks the factory for an aspect, then
+/// registers whatever it returned with the moderator in one batch (one
+/// publish). Returns the number of aspects registered.
 std::size_t equip_from_factory(AspectModerator& moderator,
                                AspectFactory& factory,
                                std::span<const runtime::MethodId> methods,

@@ -1186,16 +1186,14 @@ AspectModerator::moderation_for(runtime::MethodId method) {
   // (Re)build. Chain, lock group and the non-blocking classification come
   // from ONE bank snapshot, so the group always covers exactly the
   // sharing this chain has.
-  AspectChain chain;
+  CompiledChain compiled;
   LockGroup group;
   bool chain_nonblocking = false;
-  CompiledChain compiled;
-  bank_.snapshot_for(method, &chain, &group, &chain_nonblocking, &compiled);
+  bank_.snapshot_for(method, &compiled, &group, &chain_nonblocking);
 
   auto mod = std::make_shared<Moderation>();
   mod->epoch = epoch;  // conservative: if the bank already moved past
                        // `epoch`, the next lookup simply rebuilds
-  mod->chain = std::move(chain);
   mod->compiled = std::move(compiled);
 
   std::unique_lock registry(registry_mu_);
@@ -1278,7 +1276,8 @@ AspectModerator::moderation_for(runtime::MethodId method) {
   // regardless — their fast ops skip the handshake entirely.
   mod->fast_eligible =
       chain_nonblocking && !mod->has_plan && !wake_target &&
-      (mod->chain->empty() || dekker_armed_.load(std::memory_order_seq_cst));
+      (mod->compiled->entries.empty() ||
+       dekker_armed_.load(std::memory_order_seq_cst));
   moderation_cache_[method] = mod;
   return mod;
 }
@@ -1567,7 +1566,7 @@ void AspectModerator::commit_admission(const Moderation& mod,
     for (const CompiledOp& op : cc.ops) guarded_entry(op, ctx);
   }
   if (cc.fallback) ctx.set_note(kFallbackActiveNote, "1");
-  ctx.set_admitted_chain(mod.chain.get());
+  ctx.set_admitted_chain(&cc.entries);
   ctx.set_moderation_hint(&mod);
   if (parity >= 0) {
     adopt_span(ctx, parity);

@@ -417,9 +417,9 @@ class AspectModerator {
     std::uint64_t epoch = 0;       // bank_.version() this was built at
     std::uint64_t shard_rev = 0;   // shard_rev_ this was built at
     std::uint64_t plan_rev = 0;    // plan_rev_ this was built at
-    AspectChain chain;
-    // The bank's compiled execution plan of `chain` (same publish): flat
-    // op array + per-phase presence bits; what every hot loop iterates.
+    // The bank's compiled execution plan (same publish as the lock group
+    // below): the chain itself plus a flat op array and per-phase presence
+    // bits; what every hot loop iterates.
     CompiledChain compiled;
     MethodState* self = nullptr;
     std::vector<MethodState*> eval_shards;        // sorted by id

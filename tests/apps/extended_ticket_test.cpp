@@ -127,5 +127,20 @@ TEST_F(ExtendedTicketFixture, StatsSeparateAbortsFromAdmissions) {
   EXPECT_EQ(stats.aborted, 2u);
 }
 
+TEST(ExtendedTicketEpochTest, ExtensionPublishesBothAuthCellsInOneEpoch) {
+  // One epoch for the kind order, one for both authentication cells: no
+  // composition exists in which `open` demands credentials and `assign`
+  // does not.
+  runtime::CredentialStore store;
+  auto proxy = make_ticket_proxy(4);
+  const auto before = proxy->moderator().bank().version();
+  extend_with_authentication(*proxy, store);
+  EXPECT_EQ(proxy->moderator().bank().version(), before + 2);
+  const auto auth = runtime::kinds::authentication();
+  ASSERT_NE(proxy->moderator().bank().find(open_method(), auth), nullptr);
+  EXPECT_EQ(proxy->moderator().bank().find(open_method(), auth),
+            proxy->moderator().bank().find(assign_method(), auth));
+}
+
 }  // namespace
 }  // namespace amf::apps::ticket

@@ -1,7 +1,9 @@
 // Proves the DESIGN.md §4.6 seat layout's footprint as a test: a seat is a
 // 4-byte holder id, so building a grid requests 4 B per seat; the calls a
 // browsing client makes allocate nothing; and holder ids are recycled, so
-// churning names through a seat leaves the heap where it was.
+// churning names through a seat leaves the heap where it was. It also
+// bounds the allocations of wiring the proxy: its cells publish as one
+// composition (DESIGN.md §9.2), not one per cell.
 //
 // The counters replace global operator new for this binary only, as in
 // recovery_alloc_test. They track allocations, requested bytes and live
@@ -22,13 +24,19 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/reservation/reservation_proxy.hpp"
 #include "apps/reservation/reservation_system.hpp"
+#include "runtime/metrics.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_requested{0};
 std::atomic<std::int64_t> g_live{0};
 constexpr std::size_t kRefuseAbove = std::size_t{1} << 30;
+// Wiring budgets (39 and 18 measured): a publish per cell, or a snapshot
+// of per-method maps, blows through them (325 and 53).
+constexpr std::uint64_t kBuildAllocs = 64;
+constexpr std::uint64_t kRepublishAllocs = 24;
 
 void* counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
@@ -160,6 +168,30 @@ TEST(ReservationFootprintTest, NameChurnLeavesTheHeapWhereItWas) {
   EXPECT_LE(grown, 4096) << "10,000 names left " << grown << " live bytes";
   EXPECT_GE(grown, -4096);
   EXPECT_EQ(sys.available(), 16u);
+}
+
+TEST(ReservationFootprintTest, WiringPublishesOnceNotPerCell) {
+  // Warm the process-wide interned ids and kinds first.
+  {
+    runtime::Registry warm;
+    (void)make_reservation_proxy(16, 16, &warm);
+  }
+  runtime::Registry registry;
+  const std::uint64_t before = g_allocs.load();
+  auto proxy = make_reservation_proxy(16, 16, &registry);
+  const std::uint64_t build = g_allocs.load() - before;
+  // 8 cells over 3 methods: one publish for the kind order, one for the
+  // cells.
+  EXPECT_LE(build, kBuildAllocs) << "building the proxy allocated " << build
+                                 << " times";
+
+  const std::uint64_t mid = g_allocs.load();
+  proxy->moderator().bank().republish();
+  const std::uint64_t republish = g_allocs.load() - mid;
+  // One record and one lock group per method: all three share the
+  // readers-writer aspect.
+  EXPECT_LE(republish, kRepublishAllocs)
+      << "one republish allocated " << republish << " times";
 }
 
 }  // namespace

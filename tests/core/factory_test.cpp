@@ -83,9 +83,12 @@ TEST(EquipFromFactoryTest, RegistersEveryAvailableCell) {
   });
   const MethodId methods[] = {open, assign};
   const AspectKind kinds[] = {sync};
+  const auto before = moderator.bank().version();
   EXPECT_EQ(equip_from_factory(moderator, factory, methods, kinds), 2u);
   EXPECT_NE(moderator.bank().find(open, sync), nullptr);
   EXPECT_NE(moderator.bank().find(assign, sync), nullptr);
+  // Both cells publish as one composition.
+  EXPECT_EQ(moderator.bank().version(), before + 1);
 }
 
 TEST(EquipFromFactoryTest, SkipsCellsTheFactoryDeclines) {
@@ -99,6 +102,11 @@ TEST(EquipFromFactoryTest, SkipsCellsTheFactoryDeclines) {
   const AspectKind kinds[] = {sync, auth};
   EXPECT_EQ(equip_from_factory(moderator, factory, methods, kinds), 1u);
   EXPECT_EQ(moderator.bank().find(open, auth), nullptr);
+  // A factory that declines every cell publishes nothing.
+  const auto before = moderator.bank().version();
+  const AspectKind declined[] = {auth};
+  EXPECT_EQ(equip_from_factory(moderator, factory, methods, declined), 0u);
+  EXPECT_EQ(moderator.bank().version(), before);
 }
 
 }  // namespace
