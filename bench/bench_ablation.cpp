@@ -32,9 +32,9 @@ void run_ticket_workload(benchmark::State& state, bool targeted_plan) {
     auto proxy = make_ticket_proxy(16);
     if (!targeted_plan) {
       // Overwrite the targeted plan with "wake everything".
-      proxy->moderator().set_notification_plan(
+      proxy->moderator().bank().set_notification_plan(
           open_method(), {open_method(), assign_method()});
-      proxy->moderator().set_notification_plan(
+      proxy->moderator().bank().set_notification_plan(
           assign_method(), {open_method(), assign_method()});
       // (identical sets here — the ablation is plan-dispatch overhead vs
       // the default scan; with two methods they coincide, so ALSO measure

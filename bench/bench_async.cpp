@@ -164,8 +164,7 @@ void BM_ThreadPerCallBaseline(benchmark::State& state) {
         benchmark::DoNotOptimize(proxy.invoke(m, Bump{}));
       });
     }
-    while (proxy.moderator().blocked_waiters() <
-           static_cast<std::size_t>(k)) {
+    while (proxy.moderator().async_parked() < k) {
       std::this_thread::yield();
     }
     const std::size_t rss1 = rss_bytes();

@@ -65,7 +65,7 @@ void BM_IndependentMethodsSharded(benchmark::State& state) {
       moderator.register_aspect(
           method, runtime::AspectKind::of("mm-excl"),
           std::make_shared<aspects::MutualExclusionAspect>(kWorkersPerMethod));
-      moderator.set_notification_plan(method, {method});
+      moderator.bank().set_notification_plan(method, {method});
     }
     run_workload(moderator, methods);
   }
@@ -129,7 +129,7 @@ void BM_ExclusionGroupSharded(benchmark::State& state) {
     for (const auto method : methods) {
       moderator.register_aspect(method, runtime::AspectKind::of("mm-group"),
                                 shared);
-      moderator.set_notification_plan(method, methods);
+      moderator.bank().set_notification_plan(method, methods);
     }
     run_workload(moderator, methods);
   }

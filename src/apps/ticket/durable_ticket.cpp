@@ -71,13 +71,15 @@ Result<std::unique_ptr<DurableTicketApp>> DurableTicketApp::open(
     cells.push_back({m, runtime::kinds::persistence(), app->persist_});
   }
   cells.push_back({checkpoint_method(), exclusion_kind(), exclusion});
-  moderator.bank().register_aspects(std::move(cells));
   // The base wiring's plans predate the checkpoint method; its guard reads
   // the writer slot that open/assign postactions release, so their plans
-  // must include it (and its completion must wake them).
+  // must include it (and its completion must wake them). Cells and plans
+  // publish in one epoch.
   const std::vector<runtime::MethodId> all = {open_method(), assign_method(),
                                               checkpoint_method()};
-  for (const auto m : all) moderator.set_notification_plan(m, all);
+  std::vector<core::NotificationPlan> plans;
+  for (const auto m : all) plans.push_back({m, all});
+  moderator.bank().register_aspects(std::move(cells), std::move(plans));
 
   // Recovery runs in an exclusive moderator phase (DESIGN.md §15.5): the
   // replayed calls run every hook in order, without the synchronisation

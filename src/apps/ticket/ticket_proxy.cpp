@@ -24,21 +24,23 @@ std::shared_ptr<TicketProxy> make_ticket_proxy(
   auto state = std::make_shared<BoundedResourceState>(capacity);
   auto factory = make_ticket_aspect_factory(state);
 
-  // Fig. 5: request creation of the two aspects and register them.
-  const runtime::MethodId methods[] = {open_method(), assign_method()};
-  const runtime::AspectKind kinds[] = {runtime::kinds::synchronization()};
-  core::equip_from_factory(proxy->moderator(), *factory, methods, kinds);
-
-  // Notification plan — design repair D5. The paper's Fig. 11 wiring
-  // (open's postactivation notifies ONLY the assign queue and vice versa)
+  // Fig. 5: request creation of the two aspects and register them, with
+  // their notification plans, in one publish.
+  //
+  // The plans are design repair D5. The paper's Fig. 11 wiring (open's
+  // postactivation notifies ONLY the assign queue and vice versa)
   // deadlocks under the paper's own single-active rule (Fig. 7's
   // `ActiveOpen == 0`): a caller blocked because a SAME-method invocation
   // is active is only unblocked by a same-method completion. Each method
   // must therefore also wake its own waiters.
-  proxy->moderator().set_notification_plan(
-      open_method(), {assign_method(), open_method()});
-  proxy->moderator().set_notification_plan(
-      assign_method(), {open_method(), assign_method()});
+  const runtime::MethodId methods[] = {open_method(), assign_method()};
+  const runtime::AspectKind kinds[] = {runtime::kinds::synchronization()};
+  std::vector<core::NotificationPlan> plans;
+  plans.reserve(2);
+  plans.push_back({open_method(), {assign_method(), open_method()}});
+  plans.push_back({assign_method(), {open_method(), assign_method()}});
+  core::equip_from_factory(proxy->moderator(), *factory, methods, kinds,
+                           std::move(plans));
   return proxy;
 }
 

@@ -34,16 +34,13 @@ class IntruQueue {
   IntruQueue(const IntruQueue&) = delete;
   IntruQueue& operator=(const IntruQueue&) = delete;
 
-  /// Links `node` in front of the internal stack. Returns true when the
-  /// queue was empty (this push made it non-empty) — producers can use
-  /// that to elect a leader cheaply.
-  bool push(Node* node) {
+  /// Links `node` in front of the internal stack.
+  void push(Node* node) {
     Node* head = head_.load(std::memory_order_seq_cst);
     do {
       node->*Next = head;
     } while (!head_.compare_exchange_weak(head, node,
                                           std::memory_order_seq_cst));
-    return head == nullptr;
   }
 
   /// Detaches every queued node and returns them in FIFO (push) order,

@@ -48,15 +48,32 @@ auto cell_at(Cells& cells, runtime::MethodId method,
   const auto it = std::lower_bound(cells.begin(), cells.end(), key, before);
   return it != cells.end() && same_cell(*it, key) ? it : cells.end();
 }
-}  // namespace
 
-// No chain: trivially non-blocking (nothing can block or be raced).
-const AspectBank::MethodRecord AspectBank::kUnregistered{
-    {}, compile_chain({}), nullptr, true};
+void append_kind(std::vector<runtime::AspectKind>& order,
+                 runtime::AspectKind kind) {
+  if (std::find(order.begin(), order.end(), kind) == order.end()) {
+    order.push_back(kind);
+  }
+}
+
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+// The record of a method the composition does not name: no chain, so
+// trivially non-blocking (nothing can block or be raced), and no plan.
+const MethodRecord& unregistered() {
+  static const MethodRecord record{.compiled = compile_chain({})};
+  return record;
+}
+}  // namespace
 
 void AspectBank::set_kind_order(std::vector<runtime::AspectKind> order) {
   {
     std::scoped_lock lock(mu_);
+    for (const auto kind : order_) append_kind(order, kind);
     order_ = std::move(order);
     publish_locked();
   }
@@ -75,19 +92,27 @@ void AspectBank::register_aspect(runtime::MethodId method,
   register_aspects(std::move(one));
 }
 
-void AspectBank::register_aspects(std::vector<Binding> bindings) {
-  if (bindings.empty()) return;
+void AspectBank::register_aspects(std::vector<Binding> bindings,
+                                  std::vector<NotificationPlan> plans) {
+  if (bindings.empty() && plans.empty()) return;
+  std::vector<std::pair<runtime::MethodId, WakeList>> lists;
+  lists.reserve(plans.size());
+  for (NotificationPlan& plan : plans) {
+    sort_unique(plan.wake);
+    lists.emplace_back(plan.completed,
+                       std::make_shared<const std::vector<runtime::MethodId>>(
+                           std::move(plan.wake)));
+  }
   {
     std::scoped_lock lock(mu_);
-    // Reserve first: after these, nothing in the loop can throw, so a
-    // failed allocation cannot leave half a batch in the cells for the
+    // Reserve first: after these, nothing in the loops can throw, so a
+    // failed allocation cannot leave half a batch in the bank for the
     // next mutation to publish.
     order_.reserve(order_.size() + bindings.size());
     cells_.reserve(cells_.size() + bindings.size());
+    plans_.reserve(plans_.size() + lists.size());
     for (Binding& b : bindings) {
-      if (std::find(order_.begin(), order_.end(), b.kind) == order_.end()) {
-        order_.push_back(b.kind);
-      }
+      append_kind(order_, b.kind);
       const auto it =
           std::lower_bound(cells_.begin(), cells_.end(), b, before);
       if (it != cells_.end() && same_cell(*it, b)) {
@@ -96,9 +121,26 @@ void AspectBank::register_aspects(std::vector<Binding> bindings) {
         cells_.insert(it, std::move(b));
       }
     }
+    for (auto& list : lists) {
+      const auto it = std::lower_bound(
+          plans_.begin(), plans_.end(), list,
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      if (it != plans_.end() && it->first == list.first) {
+        it->second = std::move(list.second);
+      } else {
+        plans_.insert(it, std::move(list));
+      }
+    }
     publish_locked();
   }
   run_barrier();
+}
+
+void AspectBank::set_notification_plan(runtime::MethodId completed,
+                                       std::vector<runtime::MethodId> wake) {
+  std::vector<NotificationPlan> one;
+  one.push_back(NotificationPlan{completed, std::move(wake)});
+  register_aspects({}, std::move(one));
 }
 
 bool AspectBank::remove_aspect(runtime::MethodId method,
@@ -159,11 +201,7 @@ void AspectBank::set_fallback(runtime::MethodId method,
                               std::vector<BankEntry> entries) {
   {
     std::scoped_lock lock(mu_);
-    for (const BankEntry& e : entries) {
-      if (std::find(order_.begin(), order_.end(), e.kind) == order_.end()) {
-        order_.push_back(e.kind);
-      }
-    }
+    for (const BankEntry& e : entries) append_kind(order_, e.kind);
     fallbacks_[method] = std::move(entries);
     publish_locked();
   }
@@ -181,7 +219,7 @@ bool AspectBank::clear_fallback(runtime::MethodId method) {
 }
 
 bool AspectBank::fallback_active(runtime::MethodId method) const {
-  return snapshot()->find(method).compiled->fallback;
+  return composition()->find(method).compiled->fallback;
 }
 
 void AspectBank::set_health(runtime::HealthRegistry* health) {
@@ -229,47 +267,36 @@ AspectPtr AspectBank::find(runtime::MethodId method,
   return it == cells_.end() ? nullptr : it->aspect;
 }
 
-const AspectBank::MethodRecord& AspectBank::Composition::find(
-    runtime::MethodId method) const {
+const MethodRecord& Composition::find(runtime::MethodId method) const {
   const auto it = std::lower_bound(
       methods.begin(), methods.end(), method,
       [](const MethodRecord& r, runtime::MethodId m) { return r.method < m; });
-  return it != methods.end() && it->method == method ? *it : kUnregistered;
+  return it != methods.end() && it->method == method ? *it : unregistered();
 }
 
 AspectChain AspectBank::chain(runtime::MethodId method) const {
-  CompiledChain compiled = snapshot()->find(method).compiled;
+  CompiledChain compiled = composition()->find(method).compiled;
   const auto* entries = &compiled->entries;
   return AspectChain(std::move(compiled), entries);
 }
 
 CompiledChain AspectBank::compiled_chain(runtime::MethodId method) const {
-  return snapshot()->find(method).compiled;
+  return composition()->find(method).compiled;
 }
 
 LockGroup AspectBank::lock_group(runtime::MethodId method) const {
-  return snapshot()->find(method).group;
-}
-
-void AspectBank::snapshot_for(runtime::MethodId method,
-                              CompiledChain* compiled, LockGroup* group,
-                              bool* nonblocking) const {
-  const auto snap = snapshot();
-  const MethodRecord& rec = snap->find(method);
-  *compiled = rec.compiled;
-  *group = rec.group;
-  if (nonblocking != nullptr) *nonblocking = rec.nonblocking;
+  return composition()->find(method).group;
 }
 
 bool AspectBank::nonblocking(runtime::MethodId method) const {
-  return snapshot()->find(method).nonblocking;
+  return composition()->find(method).nonblocking;
 }
 
 bool AspectBank::any_nonblocking() const {
-  return snapshot()->any_nonblocking;
+  return composition()->any_nonblocking;
 }
 
-std::shared_ptr<const AspectBank::Composition> AspectBank::snapshot() const {
+std::shared_ptr<const Composition> AspectBank::composition() const {
   std::scoped_lock lock(snapshot_mu_);
   return snapshot_;
 }
@@ -290,7 +317,7 @@ std::size_t AspectBank::size() const {
 
 std::string AspectBank::describe() const {
   std::scoped_lock lock(mu_);
-  const auto snap = snapshot();
+  const auto snap = composition();
   std::string out = "kind order:";
   for (const auto kind : order_) {
     out += ' ';
@@ -413,8 +440,9 @@ void AspectBank::publish_locked() {
     // Compose-time compilation: resolve every hook thunk now so no
     // invocation ever pays for it (Pluggable-AOP's "pay at composition").
     next->methods.push_back(MethodRecord{
-        method, compile_chain(std::move(chain), use_fallback), nullptr,
-        nonblocking});
+        .method = method,
+        .compiled = compile_chain(std::move(chain), use_fallback),
+        .nonblocking = nonblocking});
     run = end;
   }
 
@@ -468,11 +496,53 @@ void AspectBank::publish_locked() {
         std::make_shared<const std::vector<runtime::MethodId>>(std::move(group));
   }
 
+  // Plans: every method a plan names gets a record (the empty chain when
+  // it holds no cell); then each record takes its plan and woken bit.
+  if (!plans_.empty()) {
+    auto& records = next->methods;
+    const auto by_method = [](const MethodRecord& r, runtime::MethodId m) {
+      return r.method < m;
+    };
+    const auto composed = static_cast<std::ptrdiff_t>(records.size());
+    const auto name = [&](runtime::MethodId id) {
+      const auto end = records.begin() + composed;
+      const auto it = std::lower_bound(records.begin(), end, id, by_method);
+      if ((it == end || it->method != id) &&
+          std::none_of(end, records.end(), [&](const MethodRecord& r) {
+            return r.method == id;
+          })) {
+        records.push_back(
+            MethodRecord{.method = id, .compiled = unregistered().compiled});
+      }
+    };
+    for (const auto& [completed, wake] : plans_) {
+      name(completed);
+      for (const auto id : *wake) name(id);
+    }
+    if (records.end() - records.begin() > composed) {
+      const auto sorted = [](const MethodRecord& a, const MethodRecord& b) {
+        return a.method < b.method;
+      };
+      std::sort(records.begin() + composed, records.end(), sorted);
+      std::inplace_merge(records.begin(), records.begin() + composed,
+                         records.end(), sorted);
+    }
+    const auto record = [&](runtime::MethodId id) -> MethodRecord& {
+      return *std::lower_bound(records.begin(), records.end(), id, by_method);
+    };
+    for (const auto& [completed, wake] : plans_) {
+      record(completed).wake = wake;
+      for (const auto id : *wake) record(id).woken = true;
+    }
+  }
+
+  const std::uint64_t epoch = version_.load(std::memory_order_relaxed) + 1;
+  next->epoch = epoch;
   {
     std::scoped_lock lock(snapshot_mu_);
     snapshot_ = std::move(next);
+    version_.store(epoch, std::memory_order_release);
   }
-  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace amf::core

@@ -9,12 +9,13 @@
 //
 // Reads on the moderation hot path are epoch-versioned RCU: every mutation
 // publishes a fresh immutable Composition snapshot (one record per method:
-// its chain, compiled plan, lock group and classification bits) and bumps
-// `version()`. A batch of registrations is one mutation, so wiring a whole
-// component costs one publish, not one per cell. Readers pay one pointer
-// copy under a leaf mutex plus a binary search — and callers that cached a
-// chain at epoch E skip even that while `version()` (lock-free) still
-// reads E, which is what keeps re-evaluations of blocked callers cheap.
+// its chain, compiled plan, lock group, notification plan and
+// classification bits) and bumps `version()`. A batch of registrations —
+// cells and plans together — is one mutation, so wiring a whole component
+// costs one publish, not one per cell. Readers pay one pointer copy under
+// a leaf mutex plus a binary search — and callers that cached a chain at
+// epoch E skip even that while `version()` (lock-free) still reads E,
+// which is what keeps re-evaluations of blocked callers cheap.
 #pragma once
 
 #include <atomic>
@@ -26,6 +27,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/aspect.hpp"
@@ -104,13 +106,61 @@ using CompiledChain = std::shared_ptr<const CompiledChainData>;
 /// several shard locks; single-method groups (nullptr here) pay one.
 using LockGroup = std::shared_ptr<const std::vector<runtime::MethodId>>;
 
+/// Immutable, sorted-by-id list of the methods a notification plan wakes,
+/// shared by the bank and every snapshot that publishes the plan.
+using WakeList = std::shared_ptr<const std::vector<runtime::MethodId>>;
+
+/// A notification plan (DESIGN.md §9.1, repair D5): completing `completed`
+/// wakes the parked calls of every method in `wake`, and declares that
+/// `completed`'s hooks may change those methods' guard verdicts through
+/// state the bank cannot see, so both sides' locked sections synchronize.
+/// An empty `wake` is still a plan: its completions wake nobody. A method
+/// without a plan wakes, and synchronizes with, every composed method.
+struct NotificationPlan {
+  runtime::MethodId completed;
+  std::vector<runtime::MethodId> wake;
+};
+
+/// Everything a hot-path reader needs about one method in one published
+/// composition, derived at publish from its effective chain and the plans.
+struct MethodRecord {
+  runtime::MethodId method{};
+  // The flat execution plan (hook thunks resolved at publish, per-phase
+  // presence bits, the fallback bit); chain() aliases its entries.
+  CompiledChain compiled{};
+  LockGroup group{};  // nullptr: the method's own lock suffices
+  // Every surviving aspect declares Aspect::nonblocking(method).
+  bool nonblocking = true;
+  // `method`'s notification plan: the methods its completion wakes, or
+  // nullptr when it has no plan (an empty list is still a plan).
+  WakeList wake{};
+  // Whether some plan names `method` as a wake target.
+  bool woken = false;
+};
+
+/// The unit of publication: one record per method that holds a cell or
+/// appears in a plan, sorted by method, rebuilt wholesale on every
+/// mutation and swapped in atomically. A method a plan names but no cell
+/// holds gets the empty chain.
+struct Composition {
+  std::uint64_t epoch = 1;  // the AspectBank::version() it published at
+  std::vector<MethodRecord> methods;
+  // Some method that holds a cell has a non-blocking chain.
+  bool any_nonblocking = false;
+  /// `method`'s record, or the shared empty-chain record (no plan, method
+  /// left default) when the composition does not name it.
+  const MethodRecord& find(runtime::MethodId method) const;
+};
+
 /// Thread-safe registry of aspects per (method, kind).
 class AspectBank {
  public:
-  /// Fixes the evaluation order of kinds. Kinds registered later but absent
-  /// from the list are appended in first-registration order. Preconditions
-  /// and entries run in this order; postactions run in reverse (Fig. 14:
-  /// auth-pre, sync-pre, body, sync-post, auth-post).
+  /// Fixes the evaluation order of kinds: the given kinds first, then every
+  /// kind of the current order the list leaves out, in its current
+  /// relative order — so no registered kind ever drops out of a chain.
+  /// Kinds registered later are appended in first-registration order.
+  /// Preconditions and entries run in this order; postactions run in
+  /// reverse (Fig. 14: auth-pre, sync-pre, body, sync-post, auth-post).
   void set_kind_order(std::vector<runtime::AspectKind> order);
 
   /// Current kind order (explicit + appended).
@@ -122,16 +172,23 @@ class AspectBank {
   void register_aspect(runtime::MethodId method, runtime::AspectKind kind,
                        AspectPtr aspect);
 
-  /// Registers (or replaces) every cell of `bindings` as ONE mutation: one
-  /// publish, one `version()` bump and one recomposition barrier, so no
-  /// caller observes a half-wired composition. Bindings apply in order —
-  /// a cell given twice ends with the later aspect, and new kinds append
-  /// to the kind order in first-binding order, as the same calls to
-  /// register_aspect() would. No state between two bindings is ever
-  /// published: a quarantined aspect that leaves its last cell and comes
-  /// back within the batch stays quarantined. An empty batch publishes
-  /// nothing.
-  void register_aspects(std::vector<Binding> bindings);
+  /// Registers (or replaces) every cell of `bindings` and every plan of
+  /// `plans` as ONE mutation: one publish, one `version()` bump and one
+  /// recomposition barrier, so no caller observes a half-wired
+  /// composition. Bindings apply in order — a cell given twice ends with
+  /// the later aspect, and new kinds append to the kind order in
+  /// first-binding order, as the same calls to register_aspect() would;
+  /// a plan replaces its method's earlier plan. No state between two
+  /// bindings is ever published: a quarantined aspect that leaves its last
+  /// cell and comes back within the batch stays quarantined. An empty
+  /// batch publishes nothing.
+  void register_aspects(std::vector<Binding> bindings,
+                        std::vector<NotificationPlan> plans = {});
+
+  /// Sets (or replaces) `completed`'s notification plan; the one-plan case
+  /// of register_aspects().
+  void set_notification_plan(runtime::MethodId completed,
+                             std::vector<runtime::MethodId> wake);
 
   /// Removes a cell; returns false if it was empty.
   bool remove_aspect(runtime::MethodId method, runtime::AspectKind kind);
@@ -202,10 +259,11 @@ class AspectBank {
   /// the shared empty plan). Built at publish time; same epoch as chain().
   CompiledChain compiled_chain(runtime::MethodId method) const;
 
-  /// Composition epoch: bumps once per mutation (a register_aspects batch,
-  /// a remove, a set_kind_order, ...).
-  /// A caller holding a chain (or lock group) obtained at epoch E may keep
-  /// using it without re-reading while `version() == E`.
+  /// Composition epoch: bumps once per mutation (a register_aspects batch
+  /// of cells and plans, a remove, a set_kind_order, ...). The only
+  /// revision of what the bank publishes: a caller holding anything
+  /// obtained at epoch E may keep using it without re-reading while
+  /// `version() == E`.
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -215,13 +273,10 @@ class AspectBank {
   /// the method's own lock.
   LockGroup lock_group(runtime::MethodId method) const;
 
-  /// Fetches the compiled plan (whose `entries` are the chain) and the
-  /// lock group from ONE consistent snapshot (a single pointer copy); what
-  /// preactivation uses per composition epoch. When `nonblocking` is
-  /// non-null it receives the snapshot's classification of the method's
-  /// chain (see nonblocking()).
-  void snapshot_for(runtime::MethodId method, CompiledChain* compiled,
-                    LockGroup* group, bool* nonblocking = nullptr) const;
+  /// The current published composition (a single pointer copy): every
+  /// record, and the epoch they all belong to. What the moderator builds
+  /// its per-method records from.
+  std::shared_ptr<const Composition> composition() const;
 
   /// Whether `method`'s currently published chain is classified
   /// *non-blocking*: every composed aspect (after quarantine exclusion)
@@ -241,13 +296,14 @@ class AspectBank {
   /// True when the current composition classifies at least one REGISTERED
   /// method's chain as fully non-blocking. The moderator arms its Dekker
   /// handshake on this transition; methods with no registered aspects
-  /// (trivially non-blocking, but hook-free) do not count.
+  /// (trivially non-blocking, but hook-free), plan-only ones included, do
+  /// not count.
   bool any_nonblocking() const;
 
   /// All methods that have at least one registered aspect.
   std::vector<runtime::MethodId> methods() const;
 
-  /// Total number of occupied cells.
+  /// Total number of occupied cells (plans hold none).
   std::size_t size() const;
 
   /// Human-readable dump of the two-dimensional composition (Fig. 1's
@@ -267,35 +323,12 @@ class AspectBank {
   }
 
  private:
-  /// Everything a hot-path reader needs about one method, derived at
-  /// publish from its effective chain.
-  struct MethodRecord {
-    runtime::MethodId method;
-    // The flat execution plan (hook thunks resolved at publish, per-phase
-    // presence bits, the fallback bit); chain() aliases its entries.
-    CompiledChain compiled;
-    LockGroup group;  // nullptr: the method's own lock suffices
-    // Every surviving aspect declares Aspect::nonblocking(method).
-    bool nonblocking = true;
-  };
-
-  /// The unit of publication: one record per method that holds a cell,
-  /// sorted by method, rebuilt wholesale under mu_ on every mutation and
-  /// swapped in atomically.
-  struct Composition {
-    std::vector<MethodRecord> methods;
-    bool any_nonblocking = false;
-    /// `method`'s record, or kUnregistered (the empty chain).
-    const MethodRecord& find(runtime::MethodId method) const;
-  };
-
-  // Requires mu_. Rebuilds the snapshot from cells_/order_ and publishes it.
+  // Requires mu_. Rebuilds the snapshot from cells_/order_/plans_ and
+  // publishes it.
   void publish_locked();
 
   // Requires mu_. Whether `aspect` holds a cell or a fallback slot.
   bool occupies_locked(const Aspect* aspect) const;
-
-  std::shared_ptr<const Composition> snapshot() const;
 
   // Runs `barrier_` (when set) after the calling mutation released mu_.
   void run_barrier() const {
@@ -306,6 +339,8 @@ class AspectBank {
   std::vector<runtime::AspectKind> order_;
   // Every occupied cell, sorted by (method, kind).
   std::vector<Binding> cells_;
+  // Every plan as (completed method, its targets), sorted by method.
+  std::vector<std::pair<runtime::MethodId, WakeList>> plans_;
   // Aspect objects excluded from published snapshots. Guarded by mu_;
   // entries whose last cell disappears are pruned by publish_locked().
   std::unordered_set<const Aspect*> quarantined_;
@@ -320,11 +355,12 @@ class AspectBank {
   std::function<void()> barrier_;
   // Leaf lock guarding only the snapshot pointer swap/copy (never held
   // together with mu_ by readers; writers take mu_ then snapshot_mu_).
+  // version_ is stored under it too, so a reader that copied a snapshot
+  // never reads a version() older than the snapshot's epoch.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Composition> snapshot_ =
       std::make_shared<const Composition>();
   std::atomic<std::uint64_t> version_{1};
-  static const MethodRecord kUnregistered;
 };
 
 }  // namespace amf::core

@@ -34,9 +34,10 @@ AspectPtr RegistryAspectFactory::create(runtime::MethodId method,
 std::size_t equip_from_factory(AspectModerator& moderator,
                                AspectFactory& factory,
                                std::span<const runtime::MethodId> methods,
-                               std::span<const runtime::AspectKind> kinds) {
-  // Creators run here, outside the bank lock; the cells then publish as
-  // one composition.
+                               std::span<const runtime::AspectKind> kinds,
+                               std::vector<NotificationPlan> plans) {
+  // Creators run here, outside the bank lock; the cells and plans then
+  // publish as one composition.
   std::vector<Binding> cells;
   for (const auto method : methods) {
     for (const auto kind : kinds) {
@@ -46,7 +47,7 @@ std::size_t equip_from_factory(AspectModerator& moderator,
     }
   }
   const std::size_t registered = cells.size();
-  moderator.bank().register_aspects(std::move(cells));
+  moderator.bank().register_aspects(std::move(cells), std::move(plans));
   return registered;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/aspect.hpp"
+#include "core/bank.hpp"
 #include "runtime/ids.hpp"
 
 namespace amf::core {
@@ -81,11 +82,13 @@ class ChainedAspectFactory : public AspectFactory {
 
 /// Reproduces the Fig. 5 proxy constructor as a reusable helper: for every
 /// (method, kind) combination, asks the factory for an aspect, then
-/// registers whatever it returned with the moderator in one batch (one
-/// publish). Returns the number of aspects registered.
+/// registers whatever it returned, together with `plans`, with the
+/// moderator in one batch (one publish). Returns the number of aspects
+/// registered.
 std::size_t equip_from_factory(AspectModerator& moderator,
                                AspectFactory& factory,
                                std::span<const runtime::MethodId> methods,
-                               std::span<const runtime::AspectKind> kinds);
+                               std::span<const runtime::AspectKind> kinds,
+                               std::vector<NotificationPlan> plans = {});
 
 }  // namespace amf::core

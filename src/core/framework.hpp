@@ -13,7 +13,6 @@
 
 #include "core/aspect.hpp"       // IWYU pragma: export
 #include "core/bank.hpp"         // IWYU pragma: export
-#include "core/composite.hpp"    // IWYU pragma: export
 #include "core/context.hpp"      // IWYU pragma: export
 #include "core/decision.hpp"     // IWYU pragma: export
 #include "core/factory.hpp"      // IWYU pragma: export

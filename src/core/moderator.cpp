@@ -245,39 +245,21 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   // Preactivation stowed a raw borrow of the admission's Moderation record
   // (kept alive through the open span: the thread-local record cache parks
   // displaced records in a graveyard until this thread's spans all close).
-  const Moderation* admitted =
-      static_cast<const Moderation*>(ctx.moderation_hint());
+  const Moderation& admitted =
+      *static_cast<const Moderation*>(ctx.moderation_hint());
 
   // Optimistic fast path: an invocation admitted under a fast-eligible
   // record tries to complete lock-free. Validation failure (a waiter
-  // appeared, the composition or a plan moved, a barrier is draining)
-  // falls through to the locked completion below, pinning included.
-  if (!exclusive && admitted != nullptr && admitted->fast_eligible &&
-      try_fast_completion(*admitted, ctx)) {
+  // appeared, the composition moved, a barrier is draining) falls through
+  // to the locked completion below.
+  if (!exclusive && admitted.fast_eligible &&
+      try_fast_completion(admitted, ctx)) {
     return;
   }
 
   // Postactions run for the chain the invocation was ADMITTED under
-  // (strict G4 pairing), via its compiled plan. Without a hint (a context
-  // driven through postactivation outside the normal admission flow) fall
-  // back to the bank's current compiled chain.
-  CompiledChain fallback;
-  if (admitted == nullptr) fallback = bank_.compiled_chain(ctx.method());
-  const CompiledChainData& cc =
-      admitted != nullptr ? *admitted->compiled : *fallback;
-
-  // If the record still describes the current composition we use it as-is;
-  // if the bank recomposed mid-call we PIN it — the completion locks cover
-  // the admitted chain's group (strict G4 pairing) UNIONED with the current
-  // composition's completion set, so postactions of the admitted chain stay
-  // atomic against both old sharing (what the entries synchronized with)
-  // and new sharing (what concurrent evaluations lock now).
-  const Moderation* hinted = admitted;
-  const Moderation* pinned = nullptr;
-  if (hinted != nullptr && !moderation_valid(*hinted)) {
-    pinned = hinted;
-    hinted = nullptr;
-  }
+  // (strict G4 pairing), via its compiled plan.
+  const CompiledChainData& cc = *admitted.compiled;
 
   // Postactivation always proceeds (an open span bypasses a draining
   // barrier's gate, so completions can never deadlock against it).
@@ -287,134 +269,82 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   const bool dekker =
       !exclusive && dekker_arming_.load(std::memory_order_seq_cst);
 
+  // One path for every method: hold the current record's shard set (the
+  // method, its lock group and its plan targets, or every composed method
+  // without a plan), run the postactions, then wake the flagged shards. The
+  // admitted record's own set is locked in place while its epoch is
+  // current. If the bank recomposed mid-call, the admitted set is merged
+  // with the current record's — the postactions stay atomic against both
+  // the sharing the entries synchronized with and the sharing concurrent
+  // evaluations lock now — which is the one case that copies. Either way
+  // the epoch is re-read under the locks, and a move restarts with a fresh
+  // record (DESIGN.md §9.2).
   for (;;) {
-    // Owning copy when re-resolving: postactions may re-enter the
-    // moderator (nested calls) and displace the cache slot under us.
+    // Owning copy: postactions may re-enter the moderator (nested calls)
+    // and displace the cache slot under us.
     std::shared_ptr<const Moderation> fresh;
-    const Moderation* mod = hinted;
-    if (mod == nullptr) {
+    ShardVec merged;
+    SmallVec<std::uint8_t, 8> merged_wake;
+    const Moderation* current = &admitted;
+    MethodState* const* shards = admitted.shards.data();
+    const std::uint8_t* wake = admitted.wake.data();
+    std::size_t n = admitted.shards.size();
+    if (!moderation_valid(admitted)) {
       fresh = cached_moderation(ctx.method());
-      mod = fresh.get();
+      current = fresh.get();
+      // Both sets are sorted by id: merge, OR-ing the wake flags of a
+      // shard both hold.
+      const Moderation& a = admitted;
+      const Moderation& b = *fresh;
+      std::size_t i = 0;
+      std::size_t j = 0;
+      while (i < a.shards.size() || j < b.shards.size()) {
+        const bool from_a = j == b.shards.size() ||
+                            (i < a.shards.size() &&
+                             !(b.shards[j]->id < a.shards[i]->id));
+        const bool from_b = i == a.shards.size() ||
+                            (j < b.shards.size() &&
+                             !(a.shards[i]->id < b.shards[j]->id));
+        merged.push_back(from_a ? a.shards[i] : b.shards[j]);
+        merged_wake.push_back(
+            static_cast<std::uint8_t>((from_a && a.wake[i] != 0) ||
+                                      (from_b && b.wake[j] != 0)));
+        i += from_a ? 1 : 0;
+        j += from_b ? 1 : 0;
+      }
+      shards = merged.data();
+      wake = merged_wake.data();
+      n = merged.size();
     }
-    hinted = nullptr;  // a recompose loop must re-resolve
-
-    if (mod->has_plan || (pinned && pinned->has_plan)) {
-      // Sharded completion: hold the completed method, its lock group (the
-      // postactions may touch aspects shared with those methods) and the
-      // plan's wake targets (the plan declares whose guards this completion
-      // can enable). When the composition moved mid-call, the pinned
-      // record's set is merged in. Ordered acquisition, then signal.
-      ShardVec shards;
-      SmallVec<std::uint8_t, 8> wake;
-      auto append = [&](const Moderation& m) {
-        for (std::size_t i = 0; i < m.completion_shards.size(); ++i) {
-          shards.push_back(m.completion_shards[i]);
-          wake.push_back(m.completion_wake[i]);
-        }
-      };
-      const Moderation* stats_owner = mod;
-      if (pinned) {
-        append(*pinned);
-        stats_owner = pinned;
-      }
-      append(*mod);
-      if (pinned) {
-        // Merge by shard id: sort, OR the wake flags of duplicates, unique.
-        std::vector<std::pair<MethodState*, std::uint8_t>> merged;
-        merged.reserve(shards.size());
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          merged.emplace_back(shards.begin()[i], wake.begin()[i]);
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first->id < b.first->id;
-                  });
-        ShardVec uniq_shards;
-        SmallVec<std::uint8_t, 8> uniq_wake;
-        for (std::size_t i = 0; i < merged.size(); ++i) {
-          if (!uniq_shards.empty() &&
-              uniq_shards.begin()[uniq_shards.size() - 1] ==
-                  merged[i].first) {
-            auto* flags = uniq_wake.begin();
-            flags[uniq_wake.size() - 1] =
-                static_cast<std::uint8_t>(flags[uniq_wake.size() - 1] |
-                                          merged[i].second);
-            continue;
-          }
-          uniq_shards.push_back(merged[i].first);
-          uniq_wake.push_back(merged[i].second);
-        }
-        shards = uniq_shards;
-        wake = uniq_wake;
-      }
-      if (dekker) lockers_add(shards.data(), shards.size());
-      {
-        LockSet locks(shards.data(), exclusive ? 0 : shards.size());
-        if (dekker) drain_fast_windows(shards.data(), shards.size());
+    bool completed = false;
+    if (dekker) lockers_add(shards, n);
+    {
+      LockSet locks(shards, exclusive ? 0 : n);
+      // A publish that landed before the locks were taken may have added
+      // methods this set lacks: retry under the new composition's set.
+      if (moderation_valid(*current)) {
+        completed = true;
+        if (dekker) drain_fast_windows(shards, n);
         if (cc.any_post || fault_ != nullptr) {
           for (std::size_t i = cc.ops.size(); i-- > 0;) {
             guarded_postaction(cc.ops[i], ctx);
           }
         }
-        stats_owner->self->stats.completed.fetch_add(
-            1, std::memory_order_relaxed);
+        admitted.self->stats.completed.fetch_add(1,
+                                                 std::memory_order_relaxed);
         log_event("postactivation", ctx);
         // Calls park under the shard mutex (held here), so this transfer
         // serializes with — and cannot miss — any park that saw
         // pre-completion guard state. A phase has nothing parked.
         if (!exclusive) {
-          for (std::size_t i = 0; i < shards.size(); ++i) {
-            if (wake.begin()[i]) {
-              transfer_parked_under_lock(*shards.begin()[i]);
-            }
+          for (std::size_t i = 0; i < n; ++i) {
+            if (wake[i] != 0) transfer_parked_under_lock(*shards[i]);
           }
         }
       }
-      if (dekker) lockers_sub(shards.data(), shards.size());
-      break;
     }
-
-    // No plan: the always-safe fallback. Holding EVERY shard makes these
-    // postactions atomic against every guard evaluation — cross-method
-    // state coupling that bypasses the bank (shared captures) stays
-    // race-free, exactly as under the old global mutex. The shared
-    // registry lock freezes the shard map so no method can appear (and
-    // start evaluating on an unheld shard) mid-completion; a shard created
-    // since this Moderation was built forces a rebuild. The all-shards set
-    // is a superset of any pinned record's set, so stale hints need no
-    // merging here.
-    std::shared_lock registry(registry_mu_);
-    if (mod->shard_rev != shard_rev_.load(std::memory_order_relaxed)) {
-      continue;  // a shard appeared since this record was built
-    }
-    if (dekker) {
-      lockers_add(mod->completion_shards.data(),
-                  mod->completion_shards.size());
-    }
-    {
-      LockSet locks(mod->completion_shards.data(),
-                    exclusive ? 0 : mod->completion_shards.size());
-      if (dekker) {
-        drain_fast_windows(mod->completion_shards.data(),
-                           mod->completion_shards.size());
-      }
-      if (cc.any_post || fault_ != nullptr) {
-        for (std::size_t i = cc.ops.size(); i-- > 0;) {
-          guarded_postaction(cc.ops[i], ctx);
-        }
-      }
-      (pinned ? pinned->self : mod->self)
-          ->stats.completed.fetch_add(1, std::memory_order_relaxed);
-      log_event("postactivation", ctx);
-      if (!exclusive) {
-        for (auto* s : mod->completion_shards) transfer_parked_under_lock(*s);
-      }
-    }
-    if (dekker) {
-      lockers_sub(mod->completion_shards.data(),
-                  mod->completion_shards.size());
-    }
-    break;
+    if (dekker) lockers_sub(shards, n);
+    if (completed) break;
   }
 
   sample_latency(ctx);
@@ -425,23 +355,6 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   }
   close_span(ctx);
   drain_quarantine();
-}
-
-void AspectModerator::set_notification_plan(
-    runtime::MethodId completed, std::vector<runtime::MethodId> wake) {
-  {
-    std::unique_lock registry(registry_mu_);
-    notification_plan_[completed] = std::move(wake);
-    // A plan changes the completer's completion set AND the wake-target
-    // side of fast-path eligibility for arbitrary other methods, so every
-    // cached record (shared and thread-local) must be rebuilt: bump the
-    // plan revision and drop the shared cache wholesale.
-    plan_rev_.fetch_add(1, std::memory_order_release);
-    moderation_cache_.clear();
-  }
-  // Plan changes alter completion semantics; quiesce like a bank mutation
-  // so in-flight waiters pick up records with the new plan.
-  recompose_barrier();
 }
 
 void AspectModerator::shutdown() {
@@ -467,13 +380,6 @@ MethodStats AspectModerator::stats(runtime::MethodId method) const {
   // Atomic cells: no shard lock needed (and none would make the snapshot
   // more consistent — the fast path updates outside it anyway).
   return it->second->stats.snapshot();
-}
-
-std::uint64_t AspectModerator::blocked_waiters() const {
-  // Parked calls, sync waiters and async frames alike; never negative. It
-  // dips transiently while a node is between a transfer and its retry's
-  // re-park; racy diagnostics.
-  return static_cast<std::uint64_t>(parked_.load(std::memory_order_relaxed));
 }
 
 std::string AspectModerator::report() const {
@@ -1021,7 +927,7 @@ void AspectModerator::async_attempt(ParkedCall& call, bool exclusive) {
         // A gen move means a recomposition barrier is (or was) draining
         // this burst's side; fall out so the barrier can complete.
         if (gen_.load(std::memory_order_seq_cst) != burst_gen ||
-            bank_.version() != mod->epoch) {
+            !moderation_valid(*mod)) {
           return Att::kRecompose;
         }
         verdict = evaluate_chain_under_locks(cc, ctx);
@@ -1112,20 +1018,20 @@ void AspectModerator::async_attempt(ParkedCall& call, bool exclusive) {
     // barrier's gen flip orders this section after the store). An
     // exclusive phase locks zero shards and skips the handshake.
     Att att;
-    const std::size_t nshards = exclusive ? 0 : mod->eval_shards.size();
+    const std::size_t nshards = exclusive ? 0 : mod->shards.size();
     const bool dekker =
         !exclusive && dekker_arming_.load(std::memory_order_seq_cst);
-    if (dekker) lockers_add(mod->eval_shards.data(), nshards);
+    if (dekker) lockers_add(mod->shards.data(), nshards);
     if (nshards == 1) {
       std::scoped_lock lk(ms.mu);
-      if (dekker) drain_fast_windows(mod->eval_shards.data(), nshards);
+      if (dekker) drain_fast_windows(mod->shards.data(), nshards);
       att = attempt();
     } else {
-      LockSet locks(mod->eval_shards.data(), nshards);
-      if (dekker) drain_fast_windows(mod->eval_shards.data(), nshards);
+      LockSet locks(mod->shards.data(), nshards);
+      if (dekker) drain_fast_windows(mod->shards.data(), nshards);
       att = attempt();
     }
-    if (dekker) lockers_sub(mod->eval_shards.data(), nshards);
+    if (dekker) lockers_sub(mod->shards.data(), nshards);
     if (!exclusive) exit_burst(parity);
     if (att == Att::kRecompose) continue;
     if (att == Att::kParked) return;
@@ -1169,113 +1075,62 @@ void AspectModerator::transfer_parked_under_lock(MethodState& s) {
 
 std::shared_ptr<const AspectModerator::Moderation>
 AspectModerator::moderation_for(runtime::MethodId method) {
-  const std::uint64_t epoch = bank_.version();
   {
     std::shared_lock registry(registry_mu_);
     auto it = moderation_cache_.find(method);
-    if (it != moderation_cache_.end() && it->second->epoch == epoch &&
-        it->second->plan_rev ==
-            plan_rev_.load(std::memory_order_relaxed) &&
-        (it->second->has_plan ||
-         it->second->shard_rev ==
-             shard_rev_.load(std::memory_order_relaxed))) {
+    if (it != moderation_cache_.end() && moderation_valid(*it->second)) {
       return it->second;
     }
   }
 
-  // (Re)build. Chain, lock group and the non-blocking classification come
-  // from ONE bank snapshot, so the group always covers exactly the
-  // sharing this chain has.
-  CompiledChain compiled;
-  LockGroup group;
-  bool chain_nonblocking = false;
-  bank_.snapshot_for(method, &compiled, &group, &chain_nonblocking);
-
+  // (Re)build from ONE published composition: chain, lock group, plan,
+  // classification and the set of composed methods all share its epoch.
+  const auto composition = bank_.composition();
+  const MethodRecord& rec = composition->find(method);
   auto mod = std::make_shared<Moderation>();
-  mod->epoch = epoch;  // conservative: if the bank already moved past
-                       // `epoch`, the next lookup simply rebuilds
-  mod->compiled = std::move(compiled);
+  mod->epoch = composition->epoch;
+  mod->compiled = rec.compiled;
+
+  // The shard set (G6: admission holds the SAME set as completion, because
+  // entries commit state the plan declares other methods' guards may
+  // read). With a plan: the method, its lock group and its targets, and
+  // only the targets are woken; a self-plan keeps admission single-shard.
+  // Without one: every method of this composition plus the method itself,
+  // all woken. A method outside the composition has an empty chain, so it
+  // neither runs hooks nor parks, and no set needs its lock (§9.2).
+  std::vector<runtime::MethodId> ids{method};
+  if (rec.wake) {
+    if (rec.group) ids.insert(ids.end(), rec.group->begin(), rec.group->end());
+    ids.insert(ids.end(), rec.wake->begin(), rec.wake->end());
+  } else {
+    for (const MethodRecord& r : composition->methods) ids.push_back(r.method);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
   std::unique_lock registry(registry_mu_);
-  auto ensure = [&](runtime::MethodId id) -> MethodState* {
-    auto [it, inserted] = methods_.try_emplace(id, nullptr);
-    if (inserted) {
-      it->second = std::make_unique<MethodState>(id);
-      shard_rev_.fetch_add(1, std::memory_order_release);
-    }
-    return it->second.get();
-  };
-
-  if (group) {
-    mod->eval_shards.reserve(group->size());
-    for (const auto id : *group) mod->eval_shards.push_back(ensure(id));
-  } else {
-    mod->eval_shards.push_back(ensure(method));
+  mod->shards.reserve(ids.size());
+  mod->wake.reserve(ids.size());
+  for (const auto id : ids) {
+    auto& state = methods_[id];
+    if (!state) state = std::make_unique<MethodState>(id);
+    if (id == method) mod->self = state.get();
+    mod->shards.push_back(state.get());
+    mod->wake.push_back(
+        !rec.wake ||
+        std::binary_search(rec.wake->begin(), rec.wake->end(), id));
   }
-  for (auto* s : mod->eval_shards) {
-    if (s->id == method) mod->self = s;
-  }
-
-  auto plan_it = notification_plan_.find(method);
-  mod->has_plan = plan_it != notification_plan_.end();
-  if (mod->has_plan) {
-    const std::vector<runtime::MethodId>& targets = plan_it->second;
-    SmallVec<runtime::MethodId, 8> ids;
-    ids.push_back(method);
-    if (group) {
-      for (const auto id : *group) ids.push_back(id);
-    }
-    for (const auto id : targets) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    ids.truncate(static_cast<std::size_t>(
-        std::unique(ids.begin(), ids.end()) - ids.begin()));
-    mod->completion_shards.reserve(ids.size());
-    mod->completion_wake.reserve(ids.size());
-    for (const auto id : ids) {
-      mod->completion_shards.push_back(ensure(id));
-      mod->completion_wake.push_back(
-          std::find(targets.begin(), targets.end(), id) != targets.end() ? 1
-                                                                         : 0);
-    }
-  } else {
-    mod->completion_shards.reserve(methods_.size());
-    for (auto& [_, state] : methods_) {
-      mod->completion_shards.push_back(state.get());
-    }
-    std::sort(mod->completion_shards.begin(), mod->completion_shards.end(),
-              [](const MethodState* a, const MethodState* b) {
-                return a->id < b->id;
-              });
-    mod->completion_wake.assign(mod->completion_shards.size(), 1);
-  }
-  // G6: admission holds the SAME shard set as completion. Entries commit
-  // state the plan (or the no-plan lock-everything default) declares other
-  // methods' guards may read — holding only the lock group would let a
-  // plan-coupled guard evaluation race an entry() on shared captures the
-  // bank cannot see. completion_shards is a superset of the group, so
-  // nothing is lost; self-plans keep single-shard admission.
-  mod->eval_shards = mod->completion_shards;
-  mod->shard_rev = shard_rev_.load(std::memory_order_relaxed);
-  mod->plan_rev = plan_rev_.load(std::memory_order_relaxed);
   // Fast-path eligibility (DESIGN.md §11): non-blocking chain, no plan as
-  // completer, and not a wake target in ANY plan (being named a target
+  // completer, and not a wake target of any plan (being named a target
   // declares that other methods' completions influence this guard — keep
-  // such methods on the locked path). Scanned here, once per rebuild.
-  bool wake_target = false;
-  for (const auto& [_, targets] : notification_plan_) {
-    if (std::find(targets.begin(), targets.end(), method) !=
-        targets.end()) {
-      wake_target = true;
-      break;
-    }
-  }
-  // Hook-bearing records additionally require the Dekker handshake to be
-  // ARMED (second stage): only after the arming barrier drained every slow
-  // section that skipped the lockers elevation may a fast op run hooks
-  // outside the locks. Empty chains run no hooks, so they stay eligible
-  // regardless — their fast ops skip the handshake entirely.
+  // such methods on the locked path). Hook-bearing records additionally
+  // require the Dekker handshake to be ARMED (second stage): only after
+  // the arming barrier drained every slow section that skipped the lockers
+  // elevation may a fast op run hooks outside the locks. Empty chains run
+  // no hooks, so they stay eligible regardless — their fast ops skip the
+  // handshake entirely.
   mod->fast_eligible =
-      chain_nonblocking && !mod->has_plan && !wake_target &&
+      rec.nonblocking && !rec.wake && !rec.woken &&
       (mod->compiled->entries.empty() ||
        dekker_armed_.load(std::memory_order_seq_cst));
   moderation_cache_[method] = mod;
@@ -1295,13 +1150,7 @@ AspectModerator::cached_moderation(runtime::MethodId method) {
 
   for (auto& e : cache) {
     if (e.nonce != nonce_ || !(e.method == method)) continue;
-    const Moderation& m = *e.mod;
-    if (m.epoch == bank_.version() &&
-        m.plan_rev == plan_rev_.load(std::memory_order_acquire) &&
-        (m.has_plan ||
-         m.shard_rev == shard_rev_.load(std::memory_order_acquire))) {
-      return e.mod;
-    }
+    if (moderation_valid(*e.mod)) return e.mod;
     // Refresh in place; the stale record may still be borrowed raw by an
     // in-flight invocation on this thread (nested call), so park it.
     std::shared_ptr<const Moderation> rebuilt = moderation_for(method);
@@ -1393,9 +1242,7 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
   const bool valid =
       (!hooked ||
        self->lockers.load(std::memory_order_seq_cst) == 0) &&
-      gen_.load(std::memory_order_seq_cst) == g &&
-      bank_.version() == mod->epoch &&
-      plan_rev_.load(std::memory_order_acquire) == mod->plan_rev &&
+      gen_.load(std::memory_order_seq_cst) == g && moderation_valid(*mod) &&
       !shutdown_.load(std::memory_order_acquire);
   if (!valid) {
     if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
@@ -1466,8 +1313,8 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   // so while the span is open, gen is at most admission-gen + 1. Reading
   // an EVEN gen here therefore proves no barrier has started draining us
   // (odd = drain in progress → let the locked path complete); the bank
-  // epoch and plan-rev checks inside the window catch everything a
-  // completed barrier could have changed.
+  // epoch check inside the window catches everything a completed barrier
+  // could have changed.
   if ((gen_.load(std::memory_order_seq_cst) & 1) != 0) return false;
   if (hooked) self->fast_windows.fetch_add(1, std::memory_order_seq_cst);
   const bool valid =
@@ -1475,8 +1322,7 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
        self->lockers.load(std::memory_order_seq_cst) == 0) &&
       sleepers_.load(std::memory_order_seq_cst) == 0 &&
       (gen_.load(std::memory_order_seq_cst) & 1) == 0 &&
-      moderation_valid(mod) &&
-      plan_rev_.load(std::memory_order_acquire) == mod.plan_rev;
+      moderation_valid(mod);
   if (!valid) {
     if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
     return false;
@@ -1493,8 +1339,8 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   sample_latency(ctx);
   // No signal: sleepers_ == 0 was validated inside the window, so no call
   // is parked anywhere in the moderator (the no-plan default is a
-  // broadcast to ALL methods, whose guards may read state outside any
-  // aspect hook). A call parking after our check re-evaluates its guards
+  // broadcast to ALL composed methods, whose guards may read state outside
+  // any aspect hook). A call parking after our check re-evaluates its guards
   // past the full fence of its seq_cst increment, so it sees our
   // postactions. Nobody needs the wakeup.
   if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);

@@ -9,26 +9,27 @@
 //     waiters whose guards may now pass.
 //
 // Locking model (sharded; see DESIGN.md §3 D2 and §9). Every method has its
-// own mutex and parked-call list. A chain evaluation (guards + entry
-// commits) holds, in one ordered acquisition, the locks of exactly the
-// methods whose chains share an aspect OBJECT with the invoked method (the
-// bank's lock group) — so an exclusion group stays atomic (repair D2) while
-// unrelated methods never contend. Postactivation holds the completed
-// method's group plus its notification-plan targets: the plan is both the
-// paper's wake wiring (open→assign / assign→open) AND the declaration of
-// which methods' guards the completing postactions may influence through
-// shared captured state. Without a plan the moderator falls back to locking
-// every method — always safe, never required once plans are set.
+// own mutex and parked-call list. A locked section — an admission attempt
+// (guards + entry commits) or a completion (postactions + wakeups) — holds,
+// in one ordered acquisition, the locks of the invoked method's lock group
+// (the methods whose chains share an aspect OBJECT with it, so an exclusion
+// group stays atomic, repair D2) plus its notification-plan targets. The
+// plan is bank data, published with the cells: it is both the paper's wake
+// wiring (open→assign / assign→open) AND the declaration of which methods'
+// guards the method's hooks may influence through shared captured state.
+// Without a plan a method locks, and wakes, every method of the current
+// composition — always safe, never required once plans are set. The bank
+// epoch is the one revision every per-method record is checked against.
 //
 // On top of the sharded slow path sits an OPTIMISTIC FAST PATH (DESIGN.md
 // §11): when the bank classifies a method's chain as non-blocking (every
 // aspect declares the capability) and no notification plan involves the
 // method, admission and completion run the hook chain with no mutex at
 // all, under seqlock-style validation against the composition epoch, the
-// plan revision, the recomposition-barrier generation and a per-shard
-// Dekker handshake with locked sections. Any validation failure — or a
-// kBlock verdict — falls back to the slow path, so parking semantics,
-// G4 pairing, quarantine safe points and the barrier are untouched.
+// recomposition-barrier generation and a per-shard Dekker handshake with
+// locked sections. Any validation failure — or a kBlock verdict — falls
+// back to the slow path, so parking semantics, G4 pairing, quarantine
+// safe points and the barrier are untouched.
 #pragma once
 
 #include <array>
@@ -151,16 +152,6 @@ class AspectModerator {
   /// was admitted under, in reverse order, then wakes affected waiters.
   void postactivation(InvocationContext& ctx);
 
-  /// Restricts which methods' waiters are woken when `completed` finishes.
-  /// Without a plan, every method with waiters is woken (always safe).
-  /// Plans reproduce the paper's hand-wired open→assign / assign→open
-  /// notifications, and under the sharded lock they additionally bound
-  /// which methods a postactivation synchronizes with: guards of methods
-  /// OUTSIDE the plan (and outside the completed method's lock group) must
-  /// not read state the completing postactions write.
-  void set_notification_plan(runtime::MethodId completed,
-                             std::vector<runtime::MethodId> wake);
-
   /// Wakes everything and makes all current and future preactivations
   /// return kAbort(kCancelled). Used for orderly shutdown.
   void shutdown();
@@ -172,10 +163,6 @@ class AspectModerator {
 
   /// Snapshot of the statistics of `method`.
   MethodStats stats(runtime::MethodId method) const;
-
-  /// Total number of threads currently blocked in preactivation (racy;
-  /// diagnostics only).
-  std::uint64_t blocked_waiters() const;
 
   /// Spans currently open (admitted invocations whose postactivation has
   /// not finished), both parities. Racy; used by the drain manager to wait
@@ -406,30 +393,24 @@ class AspectModerator {
     bool locked_ = false;
   };
 
-  /// Everything one invocation of a method needs, precomputed: the chain,
-  /// the shard set evaluation must lock (the lock group, self included,
-  /// sorted by id) and the shard set completion must lock (group ∪ plan
-  /// targets, or every shard when no plan is set). Immutable once cached;
-  /// rebuilt when the bank's composition epoch moves, a plan changes, or —
-  /// for the no-plan completion set — a new method shard appears. Keeps
-  /// the hot path at one registry read-lock plus the shard locks.
+  /// Everything one invocation of a method needs, precomputed from ONE
+  /// published composition: the chain and the shard set every locked
+  /// section of the method holds, admission and completion alike (G6) —
+  /// the method, its lock group and its plan targets, or, without a plan,
+  /// every method of the composition plus itself. Immutable once cached;
+  /// rebuilt when the bank's epoch moves, the only revision it depends on.
   struct Moderation {
-    std::uint64_t epoch = 0;       // bank_.version() this was built at
-    std::uint64_t shard_rev = 0;   // shard_rev_ this was built at
-    std::uint64_t plan_rev = 0;    // plan_rev_ this was built at
-    // The bank's compiled execution plan (same publish as the lock group
+    std::uint64_t epoch = 0;  // the composition's epoch (bank_.version())
+    // The bank's compiled execution plan (same publish as the shard set
     // below): the chain itself plus a flat op array and per-phase presence
     // bits; what every hot loop iterates.
     CompiledChain compiled;
     MethodState* self = nullptr;
-    std::vector<MethodState*> eval_shards;        // sorted by id
-    std::vector<MethodState*> completion_shards;  // sorted by id
-    std::vector<std::uint8_t> completion_wake;    // parallel: notify it?
-    bool has_plan = false;
+    std::vector<MethodState*> shards;   // sorted by id
+    std::vector<std::uint8_t> wake;     // parallel: a completion wakes it
     // Optimistic-admission eligibility (DESIGN.md §11): the bank classed
     // the chain non-blocking AND the method neither owns a notification
-    // plan nor appears as a wake target in any plan. Guarded by plan_rev:
-    // a later plan change invalidates the record wholesale.
+    // plan nor appears as a wake target in any plan.
     bool fast_eligible = false;
   };
 
@@ -438,11 +419,9 @@ class AspectModerator {
   // registry precedes shards in the lock hierarchy).
   std::shared_ptr<const Moderation> moderation_for(runtime::MethodId method);
 
-  // Whether `mod` still describes the current composition and shard map.
+  // Whether `mod` still describes the current composition.
   bool moderation_valid(const Moderation& mod) const {
-    return mod.epoch == bank_.version() &&
-           (mod.has_plan ||
-            mod.shard_rev == shard_rev_.load(std::memory_order_acquire));
+    return mod.epoch == bank_.version();
   }
 
   // Requires the evaluating shard locks — or, on the optimistic fast
@@ -590,7 +569,7 @@ class AspectModerator {
   // provisionally as its barrier stake before validating).
   void adopt_span(InvocationContext& ctx, int parity);
   void close_span(InvocationContext& ctx);
-  // The barrier itself (bank recompose hook; also run on plan changes).
+  // The barrier itself (the bank's recompose hook).
   void recompose_barrier();
   // Wakes a draining barrier / gate waiters if one is active.
   void signal_barrier();
@@ -779,21 +758,11 @@ class AspectModerator {
   std::condition_variable_any wd_cv_;
   std::jthread watchdog_thread_;
 
-  // Lock hierarchy: registry_mu_ (shard map + plans) may be held while
-  // acquiring shard mutexes; never the reverse.
+  // Lock hierarchy: registry_mu_ (shard map + record cache) may be held
+  // while acquiring shard mutexes; never the reverse.
   mutable std::shared_mutex registry_mu_;
   std::unordered_map<runtime::MethodId, std::unique_ptr<MethodState>>
       methods_;
-  // Bumps when methods_ gains a shard. Written under the exclusive
-  // registry lock; atomic so hint revalidation can read it lock-free.
-  std::atomic<std::uint64_t> shard_rev_{1};
-  std::unordered_map<runtime::MethodId, std::vector<runtime::MethodId>>
-      notification_plan_;
-  // Bumps on every set_notification_plan. Plans change both completion
-  // shard sets and fast-path eligibility (wake targets), but move neither
-  // the bank epoch nor shard_rev — this is the version that catches them.
-  // Written under the exclusive registry lock; atomic for lock-free reads.
-  std::atomic<std::uint64_t> plan_rev_{1};
   std::unordered_map<runtime::MethodId, std::shared_ptr<const Moderation>>
       moderation_cache_;
   std::atomic<std::uint64_t> arrival_counter_{0};
@@ -804,9 +773,9 @@ class AspectModerator {
   // Calls currently blocked anywhere in this moderator: parked nodes,
   // raised before the parking attempt's final guard re-check and lowered
   // at transfer. The no-plan completion contract is a broadcast to EVERY
-  // method, so a fast completion validates sleepers_ == 0 (seq_cst) and
-  // defers to the locked, signalling slow path whenever any call is
-  // blocked — even on an unrelated shard.
+  // composed method, so a fast completion validates sleepers_ == 0
+  // (seq_cst) and defers to the locked, signalling slow path whenever any
+  // call is blocked — even on an unrelated shard.
   std::atomic<std::int64_t> sleepers_{0};
   // Two-stage, sticky arming of the Dekker handshake, so compositions with
   // no fast-capable aspect pay NOTHING for the fast path's existence:

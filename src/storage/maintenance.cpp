@@ -63,7 +63,8 @@ Result<DrainReport> drain_and_checkpoint(core::AspectModerator& moderator,
                                          runtime::Duration timeout) {
   DrainReport report;
   report.spans_at_entry = moderator.open_spans();
-  report.waiters_at_entry = moderator.blocked_waiters();
+  report.waiters_at_entry =
+      static_cast<std::uint64_t>(moderator.async_parked());
 
   // Quiesce intake: every future preactivation aborts with kCancelled, and
   // every blocked waiter wakes.
@@ -76,7 +77,7 @@ Result<DrainReport> drain_and_checkpoint(core::AspectModerator& moderator,
                         std::chrono::duration_cast<std::chrono::nanoseconds>(
                             timeout);
   for (;;) {
-    if (moderator.open_spans() == 0 && moderator.blocked_waiters() == 0) {
+    if (moderator.open_spans() == 0 && moderator.async_parked() == 0) {
       report.quiesced = true;
       break;
     }
@@ -88,7 +89,7 @@ Result<DrainReport> drain_and_checkpoint(core::AspectModerator& moderator,
         ErrorCode::kTimeout,
         "drain: in-flight work did not quiesce (" +
             std::to_string(moderator.open_spans()) + " spans, " +
-            std::to_string(moderator.blocked_waiters()) + " waiters)");
+            std::to_string(moderator.async_parked()) + " waiters)");
   }
 
   // The final barrier + snapshot. A fenced device refuses both; that is a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -54,6 +55,22 @@ TEST(TicketProxyTest, WiringRegistersSyncAspects) {
   EXPECT_NE(bank.find(assign_method(), runtime::kinds::synchronization()),
             nullptr);
   EXPECT_EQ(bank.size(), 2u);
+}
+
+TEST(TicketProxyTest, WiringPublishesCellsAndPlansInOneEpoch) {
+  auto proxy = make_ticket_proxy(4);
+  const auto& bank = proxy->moderator().bank();
+  EXPECT_EQ(bank.version(), 2u);  // the empty bank's epoch, then one publish
+  std::vector<runtime::MethodId> both{open_method(), assign_method()};
+  std::sort(both.begin(), both.end());
+  const auto composition = bank.composition();
+  for (const auto m : both) {
+    const core::MethodRecord& rec = composition->find(m);
+    EXPECT_EQ(rec.compiled->entries.size(), 1u);
+    ASSERT_NE(rec.wake, nullptr);
+    EXPECT_EQ(*rec.wake, both);  // D5: each method also wakes itself
+    EXPECT_TRUE(rec.woken);
+  }
 }
 
 TEST(TicketProxyTest, OpenThenAssignRoundTrip) {

@@ -1,6 +1,6 @@
 // Tests for the intrusive MPSC queue behind every persona's ready queue
-// (DESIGN.md §18.1): FIFO hand-back order, the was-empty bit push reports,
-// node re-use after release, and a multi-producer hammer that checks
+// (DESIGN.md §18.1): FIFO hand-back order, empty() across pushes, node
+// re-use after release, and a multi-producer hammer that checks
 // exactly-once delivery and per-producer ordering.
 #include <gtest/gtest.h>
 
@@ -19,12 +19,12 @@ struct Node {
   int seq = 0;
 };
 
-TEST(IntruQueueTest, PushReportsTransitionFromEmpty) {
+TEST(IntruQueueTest, EmptyUntilPushed) {
   IntruQueue<Node> q;
   Node a, b;
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.push(&a)) << "first push must report the empty->non-empty edge";
-  EXPECT_FALSE(q.push(&b));
+  q.push(&a);
+  q.push(&b);
   EXPECT_FALSE(q.empty());
 }
 
@@ -49,7 +49,7 @@ TEST(IntruQueueTest, NodesAreReusableAfterRelease) {
   Node n;
   for (int round = 0; round < 3; ++round) {
     n.seq = round;
-    EXPECT_TRUE(q.push(&n));
+    q.push(&n);
     Node* got = q.take_all();
     ASSERT_EQ(got, &n);
     EXPECT_EQ(got->next, nullptr);

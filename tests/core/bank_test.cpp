@@ -104,6 +104,25 @@ TEST(AspectBankTest, KindsAbsentFromExplicitOrderAppend) {
             (std::vector<std::string>{"b", "a", "c"}));
 }
 
+TEST(AspectBankTest, KindOrderKeepsTheKindsItLeavesOut) {
+  AspectBank bank;
+  const auto m = MethodId::of("m");
+  const auto sync = AspectKind::of("l-sync");
+  const auto audit = AspectKind::of("l-audit");
+  const auto auth = AspectKind::of("l-auth");
+  bank.register_aspect(m, sync, named("sync"));
+  bank.register_aspect(m, audit, named("audit"));
+  // The list names auth (no cell yet) and sync but not audit: audit keeps
+  // its place after the listed kinds instead of leaving every chain.
+  bank.set_kind_order({auth, sync});
+  EXPECT_EQ(bank.kind_order(), (std::vector<AspectKind>{auth, sync, audit}));
+  EXPECT_EQ(bank.size(), 2u);
+  EXPECT_EQ(chain_names(bank, m), (std::vector<std::string>{"sync", "audit"}));
+  bank.register_aspect(m, auth, named("auth"));
+  EXPECT_EQ(chain_names(bank, m),
+            (std::vector<std::string>{"auth", "sync", "audit"}));
+}
+
 TEST(AspectBankTest, ChainIsSnapshotNotLiveView) {
   AspectBank bank;
   const auto m = MethodId::of("m");
@@ -175,6 +194,78 @@ TEST(AspectBankTest, BatchPublishesOneEpoch) {
   EXPECT_EQ(*bank.lock_group(open), *bank.lock_group(assign));
   bank.register_aspects({});  // an empty batch publishes nothing
   EXPECT_EQ(bank.version(), before + 1);
+}
+
+TEST(AspectBankTest, CellsAndPlansPublishInOneEpoch) {
+  AspectBank bank;
+  int barriers = 0;
+  bank.set_recompose_barrier([&barriers] { ++barriers; });
+  const auto open = MethodId::of("p-open");
+  const auto assign = MethodId::of("p-assign");
+  const auto sync = AspectKind::of("p-sync");
+  const auto before = bank.version();
+  bank.register_aspects(
+      {{open, sync, named("producer")}, {assign, sync, named("consumer")}},
+      {{open, {assign, open, assign}}, {assign, {open}}});
+  EXPECT_EQ(bank.version(), before + 1);
+  EXPECT_EQ(barriers, 1);
+  const auto composition = bank.composition();
+  EXPECT_EQ(composition->epoch, bank.version());
+  const MethodRecord& o = composition->find(open);
+  const MethodRecord& a = composition->find(assign);
+  std::vector<MethodId> both{open, assign};
+  std::sort(both.begin(), both.end());
+  ASSERT_NE(o.wake, nullptr);
+  ASSERT_NE(a.wake, nullptr);
+  EXPECT_EQ(*o.wake, both);  // sorted, duplicates dropped
+  EXPECT_EQ(*a.wake, std::vector<MethodId>{open});
+  EXPECT_TRUE(o.woken);
+  EXPECT_TRUE(a.woken);
+  // A plan change is one more epoch and one more barrier; the later plan
+  // replaces the earlier one.
+  bank.set_notification_plan(assign, {assign});
+  EXPECT_EQ(bank.version(), before + 2);
+  EXPECT_EQ(barriers, 2);
+  EXPECT_EQ(*bank.composition()->find(assign).wake,
+            std::vector<MethodId>{assign});
+  EXPECT_TRUE(bank.composition()->find(assign).woken);
+  bank.register_aspects({}, {});  // an empty batch publishes nothing
+  EXPECT_EQ(bank.version(), before + 2);
+  EXPECT_EQ(barriers, 2);
+}
+
+TEST(AspectBankTest, MethodNamedOnlyByAPlanGetsAnEmptyRecord) {
+  AspectBank bank;
+  const auto src = MethodId::of("p-src");
+  const auto ghost = MethodId::of("p-ghost");
+  const auto k = AspectKind::of("p-k");
+  auto blocking = named("blocking");  // LambdaAspect: blocking by default
+  bank.register_aspect(src, k, blocking);
+  bank.set_notification_plan(src, {ghost});
+  const auto composition = bank.composition();
+  const MethodRecord& rec = composition->find(ghost);
+  EXPECT_EQ(rec.method, ghost);
+  EXPECT_TRUE(rec.compiled->entries.empty());
+  EXPECT_EQ(rec.wake, nullptr);
+  EXPECT_TRUE(rec.woken);
+  EXPECT_TRUE(bank.nonblocking(ghost));
+  // Trivially non-blocking, but it holds no cell: it arms nothing and
+  // counts nowhere.
+  EXPECT_FALSE(bank.any_nonblocking());
+  EXPECT_EQ(bank.size(), 1u);
+  EXPECT_EQ(bank.methods(), std::vector<MethodId>{src});
+  // An empty plan is still a plan.
+  const auto quiet = MethodId::of("p-quiet");
+  bank.set_notification_plan(quiet, {});
+  const MethodRecord& q = bank.composition()->find(quiet);
+  EXPECT_EQ(q.method, quiet);
+  ASSERT_NE(q.wake, nullptr);
+  EXPECT_TRUE(q.wake->empty());
+  EXPECT_FALSE(bank.any_nonblocking());
+  EXPECT_EQ(bank.size(), 1u);
+  // A method nothing names has the shared empty record.
+  EXPECT_NE(bank.composition()->find(MethodId::of("p-none")).method,
+            MethodId::of("p-none"));
 }
 
 TEST(AspectBankTest, CellGivenTwiceInOneBatchKeepsTheLaterAspect) {
@@ -344,6 +435,33 @@ struct BankModel {
     return {group.begin(), group.end()};
   }
 
+  // The listed kinds first, then the old order's remaining kinds.
+  void set_order(std::vector<std::size_t> listed) {
+    for (const auto k : order) {
+      if (std::find(listed.begin(), listed.end(), k) == listed.end()) {
+        listed.push_back(k);
+      }
+    }
+    order = std::move(listed);
+  }
+  bool woken(std::size_t m) const {
+    for (const auto& [_, targets] : plans) {
+      if (targets.contains(m)) return true;
+    }
+    return false;
+  }
+  // Whether the composition holds a record of `m`.
+  bool named(std::size_t m) const {
+    return holds_cell(m) || plans.contains(m) || woken(m);
+  }
+  std::vector<MethodId> wake(std::size_t m) const {
+    std::set<MethodId> out;
+    if (const auto it = plans.find(m); it != plans.end()) {
+      for (const auto t : it->second) out.insert(methods[t]);
+    }
+    return {out.begin(), out.end()};
+  }
+
   std::vector<MethodId> methods;
   std::vector<AspectKind> kinds;
   std::vector<std::shared_ptr<ModelAspect>> pool;
@@ -351,6 +469,7 @@ struct BankModel {
   std::vector<std::size_t> order;
   std::set<std::size_t> quarantined;
   std::map<std::size_t, std::vector<Entry>> fallbacks;
+  std::map<std::size_t, std::set<std::size_t>> plans;
 };
 
 void expect_matches(const AspectBank& bank, const BankModel& model) {
@@ -390,15 +509,20 @@ void expect_matches(const AspectBank& bank, const BankModel& model) {
       EXPECT_EQ(*group, want_group);
     }
 
-    // snapshot_for reads the same record.
-    CompiledChain snap_compiled;
-    LockGroup snap_group;
-    bool snap_nonblocking = false;
-    bank.snapshot_for(id, &snap_compiled, &snap_group, &snap_nonblocking);
-    EXPECT_EQ(snap_compiled, compiled);
-    EXPECT_EQ(&snap_compiled->entries, chain.get());
-    EXPECT_EQ(snap_group, group);
-    EXPECT_EQ(snap_nonblocking, model.nonblocking(m));
+    // composition() reads the same record, plus the plan data.
+    const auto composition = bank.composition();
+    EXPECT_EQ(composition->epoch, bank.version());
+    const MethodRecord& rec = composition->find(id);
+    EXPECT_EQ(rec.method == id, model.named(m));
+    EXPECT_EQ(rec.compiled, compiled);
+    EXPECT_EQ(&rec.compiled->entries, chain.get());
+    EXPECT_EQ(rec.group, group);
+    EXPECT_EQ(rec.nonblocking, model.nonblocking(m));
+    ASSERT_EQ(rec.wake != nullptr, model.plans.contains(m));
+    if (rec.wake) {
+      EXPECT_EQ(*rec.wake, model.wake(m));
+    }
+    EXPECT_EQ(rec.woken, model.woken(m));
   }
   EXPECT_EQ(bank.any_nonblocking(), any_nonblocking);
   EXPECT_EQ(bank.size(), model.cells.size());
@@ -419,7 +543,7 @@ TEST_P(BankModelTest, FlatSnapshotMatchesBruteForce) {
     SCOPED_TRACE("step " + std::to_string(step));
     const auto version = bank.version();
     bool published = true;
-    const auto op = rng.uniform_int(0, 99);
+    const auto op = rng.uniform_int(0, 104);
     if (op < 25) {
       const auto m = pick(BankModel::kMethods);
       const auto k = pick(BankModel::kKinds);
@@ -428,6 +552,7 @@ TEST_P(BankModelTest, FlatSnapshotMatchesBruteForce) {
       model.add_kind(k);
       model.cells[{m, k}] = a;
     } else if (op < 45) {
+      // Cells and up to two plans (targets may repeat), one publish.
       std::vector<Binding> batch;
       const auto n = rng.uniform_int(1, 5);
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -438,7 +563,22 @@ TEST_P(BankModelTest, FlatSnapshotMatchesBruteForce) {
         model.add_kind(k);
         model.cells[{m, k}] = a;
       }
-      bank.register_aspects(std::move(batch));
+      std::vector<NotificationPlan> plans;
+      const auto n_plans = rng.uniform_int(0, 2);
+      for (std::uint64_t i = 0; i < n_plans; ++i) {
+        const auto m = pick(BankModel::kMethods);
+        NotificationPlan plan{model.methods[m], {}};
+        std::set<std::size_t> targets;
+        const auto n_targets = rng.uniform_int(0, 3);
+        for (std::uint64_t t = 0; t < n_targets; ++t) {
+          const auto target = pick(BankModel::kMethods);
+          plan.wake.push_back(model.methods[target]);
+          targets.insert(target);
+        }
+        plans.push_back(std::move(plan));
+        model.plans[m] = std::move(targets);
+      }
+      bank.register_aspects(std::move(batch), std::move(plans));
     } else if (op < 60) {
       const auto m = pick(BankModel::kMethods);
       const auto k = pick(BankModel::kKinds);
@@ -471,9 +611,9 @@ TEST_P(BankModelTest, FlatSnapshotMatchesBruteForce) {
       const auto m = pick(BankModel::kMethods);
       published = model.fallbacks.erase(m) > 0;
       EXPECT_EQ(bank.clear_fallback(model.methods[m]), published);
-    } else {
-      // A shuffled subset: kinds left out drop out of every chain until a
-      // registration appends them again.
+    } else if (op < 100) {
+      // A shuffled subset: the listed kinds lead, and every kind left out
+      // follows in its old relative order.
       std::vector<std::size_t> order;
       for (std::size_t k = 0; k < BankModel::kKinds; ++k) {
         if (rng.bernoulli(0.8)) order.push_back(k);
@@ -484,7 +624,19 @@ TEST_P(BankModelTest, FlatSnapshotMatchesBruteForce) {
       std::vector<AspectKind> kinds;
       for (const auto k : order) kinds.push_back(model.kinds[k]);
       bank.set_kind_order(std::move(kinds));
-      model.order = std::move(order);
+      model.set_order(order);
+    } else {
+      const auto m = pick(BankModel::kMethods);
+      std::vector<MethodId> wake;
+      std::set<std::size_t> targets;
+      for (std::size_t t = 0; t < BankModel::kMethods; ++t) {
+        if (rng.bernoulli(0.3)) {
+          wake.push_back(model.methods[t]);
+          targets.insert(t);
+        }
+      }
+      bank.set_notification_plan(model.methods[m], std::move(wake));
+      model.plans[m] = std::move(targets);
     }
     if (published) model.prune();
     ASSERT_EQ(bank.version(), version + (published ? 1 : 0));

@@ -111,7 +111,7 @@ TEST(ModeratorAsyncTest, ParkedCallIsAdmittedAfterCompletionSignal) {
   call.start();
   EXPECT_FALSE(future.ready()) << "closed gate must park, not settle";
   EXPECT_EQ(proxy.moderator().async_parked(), 1);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 1u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 1);
   EXPECT_EQ(proxy.component().calls, 0) << "parked call must not run";
 
   // A completing writer's postactivation opens the gate and transfers the
@@ -127,7 +127,7 @@ TEST(ModeratorAsyncTest, ParkedCallIsAdmittedAfterCompletionSignal) {
   EXPECT_EQ(*future.value().value, 10);
   EXPECT_EQ(gate.entered, 1);
   EXPECT_EQ(gate.posted, 1) << "G4 pairing on the async path";
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   EXPECT_EQ(proxy.moderator().stats(m).block_events, 1u);
 }
 
@@ -168,7 +168,7 @@ TEST(ModeratorAsyncTest, SlabStormParksManyAndDrainsWithOneOpen) {
   EXPECT_EQ(gate.entered, kCalls);
   EXPECT_EQ(gate.posted, kCalls);
   EXPECT_EQ(proxy.moderator().async_parked(), 0);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
 }
 
 TEST(ModeratorAsyncTest, DeadlineExpiredWhileParkedYieldsTimeout) {
@@ -254,7 +254,7 @@ TEST(ModeratorAsyncTest, StopRequestAloneSettlesParkedCall) {
   EXPECT_EQ(future.value().error.code, ErrorCode::kCancelled);
   EXPECT_EQ(proxy.moderator().stats(m).cancelled, 1u);
   EXPECT_EQ(gate.entered, 0);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
 }
 
 TEST(ModeratorAsyncTest, ShutdownSettlesParkedCallsAsCancelled) {
@@ -311,7 +311,7 @@ TEST(ModeratorAsyncTest, WatchdogEvictsParkedCall) {
   EXPECT_EQ(future.value().status, InvocationStatus::kTimedOut);
   EXPECT_EQ(future.value().error.code, ErrorCode::kDeadlineExceeded);
   EXPECT_NE(future.value().error.message.find("watchdog"), std::string::npos);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   const auto violations = TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().description);

@@ -80,7 +80,7 @@ TEST(ModeratorBatchTest, GroupedAdmissionsStayAtomicUnderWriteBurst) {
   EXPECT_EQ(moderator.stats(a).admitted + moderator.stats(b).admitted,
             static_cast<std::uint64_t>(kThreads * kOpsPerThread));
   EXPECT_EQ(excl->active(), 0u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 // --- per-call verdicts and G4 pairing across a group ---------------------
@@ -175,7 +175,7 @@ TEST(ModeratorBatchTest, ParkedRequestWokenByGroupCompletion) {
     admitted.store(true);
     moderator.postactivation(ctx);
   });
-  while (moderator.blocked_waiters() == 0u) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(admitted.load());
@@ -186,7 +186,7 @@ TEST(ModeratorBatchTest, ParkedRequestWokenByGroupCompletion) {
   moderator.postactivation(ctx);
   waiter.join();
   EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 // --- lost-wakeup hammer (satellite proof; run under TSan in CI) ----------
@@ -252,7 +252,7 @@ TEST(ModeratorBatchTest, ParkedWakeupHammerSurvivesHandoffAndEpochBumps) {
   EXPECT_EQ(link_entries.load(), link_posts.load())
       << "recomposition tore an entry/postaction pair";
   EXPECT_EQ(excl->active(), 0u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 // --- PROTOCOL §3 rule 2 on grouped calls ---------------------------------
@@ -273,7 +273,7 @@ TEST(ModeratorBatchTest, ExpiredDeadlineTimesOutWhileParked) {
   ASSERT_TRUE(ctx.abort_error());
   EXPECT_EQ(ctx.abort_error()->code, ErrorCode::kTimeout);
   EXPECT_EQ(moderator.stats(m).timed_out, 1u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 TEST(ModeratorBatchTest, ExpiredDeadlineStillAdmitsPassingChain) {
@@ -328,8 +328,7 @@ TEST(ModeratorBatchTest, ShutdownRefusesParkedBatchWaiters) {
         }
       });
     }
-    while (moderator.blocked_waiters() <
-           static_cast<std::uint64_t>(kWaiters)) {
+    while (moderator.async_parked() < kWaiters) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     moderator.shutdown();
@@ -359,13 +358,13 @@ TEST(ModeratorBatchTest, StopRequestCancelsParkedBatchWaiter) {
       cancelled.store(true);
     }
   });
-  while (moderator.blocked_waiters() == 0u) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stopper.request_stop();
   waiter.join();
   EXPECT_TRUE(cancelled.load());
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   EXPECT_EQ(moderator.stats(a).cancelled, 1u);
 }
 

@@ -36,7 +36,7 @@ TEST(ModeratorEdgeTest, ShutdownIsIdempotent) {
 TEST(ModeratorEdgeTest, PlanNamingUnknownMethodIsHarmless) {
   AspectModerator moderator;
   const auto m = MethodId::of("plan-src");
-  moderator.set_notification_plan(m, {MethodId::of("plan-ghost")});
+  moderator.bank().set_notification_plan(m, {MethodId::of("plan-ghost")});
   InvocationContext ctx(m);
   ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
   moderator.postactivation(ctx);  // must not crash on the unknown target
@@ -125,7 +125,7 @@ TEST(ModeratorEdgeTest, AbortInsideEntrylessChainLeavesNoWaiters) {
     InvocationContext ctx(m);
     EXPECT_EQ(moderator.preactivation(ctx), Decision::kAbort);
   }
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   EXPECT_EQ(moderator.stats(m).aborted, 10u);
 }
 

@@ -87,8 +87,8 @@ Script run_script(bool exclusive) {
   moderator.register_aspect(
       b, AspectKind::of("ex-k1"),
       std::make_shared<Recorder>("never", &out.hooks, Decision::kBlock));
-  moderator.set_notification_plan(m, {m, b});
-  moderator.set_notification_plan(b, {m, b});
+  moderator.bank().set_notification_plan(m, {m, b});
+  moderator.bank().set_notification_plan(b, {m, b});
 
   std::optional<AspectModerator::ExclusivePhase> phase;
   if (exclusive) phase.emplace(moderator);
@@ -162,7 +162,7 @@ TEST(ExclusivePhaseTest, ACallThatWouldBlockTimesOutAtOnce) {
   EXPECT_EQ(hooks, (std::vector<std::string>{"never.arrive", "never.guard",
                                              "never.cancel"}));
   EXPECT_EQ(moderator.stats(m).timed_out, 1u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 TEST(ExclusivePhaseTest, AsyncCallsSettleInline) {
@@ -422,7 +422,7 @@ TEST(ExclusiveRecoveryTest, OpenLeavesTheModeratorQuiescentForLiveTraffic) {
   AspectModerator& moderator = app.proxy().moderator();
   EXPECT_GT(app.recovery_stats().replayed, kLogged);
   EXPECT_EQ(moderator.open_spans(), 0);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   EXPECT_EQ(moderator.async_parked(), 0);
   EXPECT_EQ(moderator.open_bursts(), 0);
   EXPECT_EQ(moderator.own_open_spans(), 0);
@@ -456,7 +456,7 @@ TEST(ExclusiveRecoveryTest, OpenLeavesTheModeratorQuiescentForLiveTraffic) {
   EXPECT_EQ(app.pending(), 0u);
   EXPECT_EQ(app.total_opened(), app.total_assigned());
   EXPECT_EQ(moderator.open_spans(), 0);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   fs::remove_all(dir);
 }
 

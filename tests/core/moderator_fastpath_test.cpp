@@ -160,7 +160,7 @@ TEST(ModeratorFastPathTest, WakeTargetOfAPlanIsIneligible) {
   const auto other = MethodId::of("fp-other");
   moderator.register_aspect(target, AspectKind::of("fp-t"),
                             std::make_shared<ProbeFastAspect>("t"));
-  moderator.set_notification_plan(other, {target});
+  moderator.bank().set_notification_plan(other, {target});
 
   for (int i = 0; i < 5; ++i) {
     InvocationContext ctx(target);

@@ -186,7 +186,7 @@ TEST(ModeratorFaultTest, PostactionThrowStillRunsWakePlan) {
         throw std::runtime_error("postaction broke");
       });
   moderator.register_aspect(b, AspectKind::of("fault-throw"), thrower);
-  moderator.set_notification_plan(b, {a});
+  moderator.bank().set_notification_plan(b, {a});
 
   std::atomic<bool> admitted{false};
   std::jthread waiter([&] {
@@ -195,7 +195,7 @@ TEST(ModeratorFaultTest, PostactionThrowStillRunsWakePlan) {
     admitted.store(true);
     moderator.postactivation(ctx);
   });
-  while (moderator.blocked_waiters() == 0) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -264,7 +264,7 @@ TEST(ModeratorFaultTest, QuarantineWakesBlockedCallersToReAdmit) {
     admitted.store(true);
     moderator.postactivation(ctx);
   });
-  while (moderator.blocked_waiters() == 0) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(admitted.load());
@@ -331,7 +331,7 @@ TEST(ModeratorFaultTest, WatchdogReportsStalledWaiterWithWaitGraph) {
     EXPECT_EQ(moderator.preactivation(ctx), Decision::kAbort);
     EXPECT_EQ(ctx.abort_error()->code, ErrorCode::kCancelled);
   });
-  while (moderator.blocked_waiters() == 0) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -388,7 +388,7 @@ TEST(ModeratorFaultTest, WatchdogEvictsStalledWaiterWhenConfigured) {
               std::string::npos);
     evicted.store(true);
   });
-  while (moderator.blocked_waiters() == 0) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -397,7 +397,7 @@ TEST(ModeratorFaultTest, WatchdogEvictsStalledWaiterWhenConfigured) {
   waiter.join();
   EXPECT_TRUE(evicted.load());
   EXPECT_EQ(moderator.stats(m).aborted, 1u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   expect_trace_clean(log);
 }
 
@@ -435,7 +435,7 @@ TEST(ModeratorFaultTest, WatchdogGraceCoversDeadlinedWaiters) {
         << to_string(ctx.abort_error()->code);
     done.store(true);
   });
-  while (moderator.blocked_waiters() == 0) {
+  while (moderator.async_parked() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -448,7 +448,7 @@ TEST(ModeratorFaultTest, WatchdogGraceCoversDeadlinedWaiters) {
   (void)moderator.scan_stalls();
   waiter.join();
   EXPECT_TRUE(done.load());
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 }
 
 TEST(ModeratorFaultTest, WatchdogScannerThreadDetectsStalls) {

@@ -41,8 +41,8 @@ TEST(ModeratorShardingTest, SharedAspectGroupStaysMutuallyExclusive) {
   auto excl = std::make_shared<aspects::MutualExclusionAspect>(1);
   moderator.register_aspect(a, AspectKind::of("shard-excl"), excl);
   moderator.register_aspect(b, AspectKind::of("shard-excl"), excl);
-  moderator.set_notification_plan(a, {a, b});
-  moderator.set_notification_plan(b, {a, b});
+  moderator.bank().set_notification_plan(a, {a, b});
+  moderator.bank().set_notification_plan(b, {a, b});
 
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
@@ -93,8 +93,8 @@ TEST(ModeratorShardingTest, PlannedProducerConsumerAcrossTwoMethods) {
       consume, AspectKind::of("shard-sync"),
       std::make_shared<aspects::BoundedResourceAspect>(
           aspects::BoundedResourceAspect::Role::kConsumer, state));
-  moderator.set_notification_plan(produce, {consume, produce});
-  moderator.set_notification_plan(consume, {produce, consume});
+  moderator.bank().set_notification_plan(produce, {consume, produce});
+  moderator.bank().set_notification_plan(consume, {produce, consume});
 
   constexpr int kPairs = 4;
   constexpr int kOps = 500;
@@ -150,7 +150,7 @@ TEST(ModeratorShardingTest, PlanWakesWaiterOnOtherMethodsShard) {
                                      [gate](InvocationContext&) {
                                        *gate = true;
                                      }));
-  moderator.set_notification_plan(releasing, {waiting});
+  moderator.bank().set_notification_plan(releasing, {waiting});
 
   std::atomic<bool> admitted{false};
   std::jthread waiter([&] {
@@ -161,7 +161,7 @@ TEST(ModeratorShardingTest, PlanWakesWaiterOnOtherMethodsShard) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(admitted.load());
-  EXPECT_EQ(moderator.blocked_waiters(), 1u);
+  EXPECT_EQ(moderator.async_parked(), 1);
 
   InvocationContext ctx(releasing);
   ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
@@ -201,8 +201,7 @@ TEST(ModeratorShardingTest, ShutdownReachesWaitersOnDifferentMethods) {
       }
     }
     // Let the waiters park on their respective shard condvars.
-    while (moderator.blocked_waiters() <
-           static_cast<std::uint64_t>(kMethods * kWaitersPerMethod)) {
+    while (moderator.async_parked() < kMethods * kWaitersPerMethod) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     moderator.shutdown();
@@ -231,7 +230,7 @@ TEST(ModeratorShardingTest, IndependentMethodsAllComplete) {
     auto excl = std::make_shared<aspects::MutualExclusionAspect>(1);
     aspects_.push_back(excl);
     moderator.register_aspect(id, AspectKind::of("shard-ind-excl"), excl);
-    moderator.set_notification_plan(id, {id});
+    moderator.bank().set_notification_plan(id, {id});
   }
 
   std::vector<std::atomic<int>> inside(kMethods);
@@ -376,7 +375,7 @@ TEST(ModeratorShardingTest, SelfMutationPinsPostactivationLockSet) {
                                      [&](InvocationContext&) {
                                        old_posts.fetch_add(1);
                                      }));
-  moderator.set_notification_plan(m, {m});
+  moderator.bank().set_notification_plan(m, {m});
 
   std::atomic<int> joined_posts{0};
   auto joined = std::make_shared<LambdaAspect>(
@@ -405,6 +404,107 @@ TEST(ModeratorShardingTest, SelfMutationPinsPostactivationLockSet) {
   EXPECT_EQ(joined_posts.load(), 2);
 }
 
+TEST(ModeratorShardingTest, MethodsJoinAndLeaveUnderNoPlanTraffic) {
+  // A no-plan method locks and wakes every method of its epoch's
+  // composition, and every locked section re-checks the epoch under its
+  // locks. While no-plan callers run, two consumer methods — one without a
+  // plan, one with a self-plan — repeatedly join the composition (sharing
+  // the producer's token aspect) and leave it. Their callers park when the
+  // tokens run out and must be woken by producer completions of the epoch
+  // they joined, or released by the barrier when they leave: every call
+  // settles, and no token is lost or spent twice.
+  AspectModerator moderator;
+  const auto produce = MethodId::of("shard-jl-produce");
+  const MethodId busy[] = {MethodId::of("shard-jl-busy-0"),
+                           MethodId::of("shard-jl-busy-1")};
+  const MethodId joiners[] = {MethodId::of("shard-jl-free"),
+                              MethodId::of("shard-jl-planned")};
+  const auto kind = AspectKind::of("shard-jl");
+  int tokens = 0;  // guarded by the token aspect's lock group
+  int spent = 0;
+  auto token = std::make_shared<LambdaAspect>(
+      "token",
+      [&](InvocationContext& ctx) {
+        return ctx.method() == produce || tokens > 0 ? Decision::kResume
+                                                     : Decision::kBlock;
+      },
+      [&](InvocationContext& ctx) {
+        if (ctx.method() != produce) {
+          --tokens;
+          ++spent;
+        }
+      },
+      [&](InvocationContext& ctx) {
+        if (ctx.method() == produce) ++tokens;
+      });
+  std::vector<Binding> cells{{produce, kind, token}};
+  for (const auto m : busy) {
+    cells.push_back({m, kind, std::make_shared<aspects::MutualExclusionAspect>(1)});
+  }
+  moderator.bank().register_aspects(std::move(cells),
+                                    {{joiners[1], {joiners[1]}}});
+  const auto join = [&] {
+    moderator.bank().register_aspects(
+        {{joiners[0], kind, token}, {joiners[1], kind, token}});
+  };
+  const auto leave = [&] {
+    for (const auto m : joiners) moderator.bank().remove_aspect(m, kind);
+  };
+
+  constexpr int kProduced = 300;  // per producer
+  constexpr int kConsumed = 100;  // per consumer, fewer than produced
+  std::atomic<int> producers_left{2};
+  std::atomic<int> refused{0};
+  const auto call = [&](MethodId m, bool bounded) {
+    InvocationContext ctx(m);
+    if (bounded) {
+      ctx.set_deadline(runtime::RealClock::instance().now() +
+                       std::chrono::seconds(20));
+    }
+    if (moderator.preactivation(ctx) != Decision::kResume) {
+      refused.fetch_add(1);
+      return;
+    }
+    moderator.postactivation(ctx);
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (int t = 0; t < 2; ++t) {
+      workers.emplace_back([&] {
+        for (int i = 0; i < kProduced; ++i) call(produce, false);
+        producers_left.fetch_sub(1);
+      });
+      workers.emplace_back([&, t] {
+        for (int i = 0; i < kProduced; ++i) call(busy[t], false);
+      });
+    }
+    for (const auto m : joiners) {
+      for (int t = 0; t < 2; ++t) {
+        workers.emplace_back([&, m] {
+          for (int i = 0; i < kConsumed; ++i) call(m, true);
+        });
+      }
+    }
+    workers.emplace_back([&] {
+      while (producers_left.load() > 0) {
+        join();
+        std::this_thread::yield();
+        leave();
+      }
+      join();  // consumers still running finish on tokens alone
+    });
+  }
+  EXPECT_EQ(refused.load(), 0) << "a parked consumer was never woken";
+  EXPECT_GE(tokens, 0);
+  EXPECT_EQ(tokens + spent, 2 * kProduced);
+  EXPECT_LE(spent, 4 * kConsumed);
+  EXPECT_EQ(moderator.async_parked(), 0);
+  for (const auto m : joiners) {
+    EXPECT_EQ(moderator.stats(m).completed,
+              static_cast<std::uint64_t>(2 * kConsumed));
+  }
+}
+
 TEST(ModeratorShardingTest, AspectMigrationHammer) {
   // Forced-interleaving regression for the aspect-migration window: while
   // callers hammer two methods, a mutator repeatedly registers and removes
@@ -419,8 +519,8 @@ TEST(ModeratorShardingTest, AspectMigrationHammer) {
   auto excl_b = std::make_shared<aspects::MutualExclusionAspect>(1);
   moderator.register_aspect(a, AspectKind::of("shard-mig-excl"), excl_a);
   moderator.register_aspect(b, AspectKind::of("shard-mig-excl"), excl_b);
-  moderator.set_notification_plan(a, {a});
-  moderator.set_notification_plan(b, {b});
+  moderator.bank().set_notification_plan(a, {a});
+  moderator.bank().set_notification_plan(b, {b});
 
   std::atomic<int> link_entries{0};
   std::atomic<int> link_posts{0};
@@ -465,7 +565,7 @@ TEST(ModeratorShardingTest, AspectMigrationHammer) {
       << "migration tore an entry/postaction pair";
   EXPECT_EQ(excl_a->active(), 0u);
   EXPECT_EQ(excl_b->active(), 0u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
 
   // Compiled-chain invalidation: this thread's moderation cache holds a
   // COMPILED plan (pre-resolved hook thunks) for `a`. Once remove_aspect

@@ -210,7 +210,7 @@ TEST(ModeratorTest, BlockedCallerWakesOnPostactivation) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(done.load());
-  EXPECT_EQ(moderator.blocked_waiters(), 1u);
+  EXPECT_EQ(moderator.async_parked(), 1);
 
   InvocationContext ctx(opener);
   ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
@@ -324,8 +324,8 @@ TEST(ModeratorTest, NotificationPlanLimitsWakeups) {
           }));
   // Completing `unrelated` wakes nobody; completing `related` wakes
   // `blocked_m`.
-  moderator.set_notification_plan(unrelated, {});
-  moderator.set_notification_plan(related, {blocked_m});
+  moderator.bank().set_notification_plan(unrelated, {});
+  moderator.bank().set_notification_plan(related, {blocked_m});
 
   std::atomic<bool> done{false};
   std::jthread waiter([&] {

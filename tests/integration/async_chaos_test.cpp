@@ -143,7 +143,7 @@ TEST(AsyncChaosTest, ParkCompleteCancelHammer) {
       << order->violations().front().description;
   const auto stats = proxy.moderator().stats(m);
   EXPECT_EQ(stats.admitted, stats.completed);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   EXPECT_EQ(proxy.moderator().async_parked(), 0);
   const auto violations = core::TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())
@@ -224,7 +224,7 @@ TEST(AsyncChaosTest, DeadlineRacesWakerCompletion) {
   EXPECT_EQ(guard.entered, guard.posted);
   EXPECT_TRUE(order->violations().empty())
       << order->violations().front().description;
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   EXPECT_EQ(proxy.moderator().async_parked(), 0);
   const auto violations = core::TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())
@@ -304,7 +304,7 @@ TEST(AsyncChaosTest, SyncDeadlineRacesWakerCompletion) {
             static_cast<std::uint64_t>(completed.load() + held.load()));
   EXPECT_TRUE(order->violations().empty())
       << order->violations().front().description;
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   EXPECT_EQ(proxy.moderator().async_parked(), 0);
   const auto violations = core::TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())

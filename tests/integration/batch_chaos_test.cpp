@@ -106,7 +106,7 @@ TEST(BatchChaosTest, CombinerDrainSurvivesSeededDelays) {
   EXPECT_EQ(link_entries.load(), link_posts.load())
       << "a delayed attempt tore an entry/postaction pair";
   EXPECT_EQ(excl->active(), 0u);
-  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(moderator.async_parked(), 0);
   EXPECT_EQ(moderator.stats(a).completed + moderator.stats(b).completed,
             static_cast<std::uint64_t>(completed.load()));
 }

@@ -126,9 +126,8 @@ TEST_P(ChaosSweep, ProtocolHoldsUnderRandomConcernGraphs) {
     std::printf("ChaosSweep %d methods x %d aspects: moderator report\n%s",
                 methods_n, aspects_per_method,
                 proxy.moderator().report().c_str());
-    std::printf("blocked_waiters=%llu\n",
-                static_cast<unsigned long long>(
-                    proxy.moderator().blocked_waiters()));
+    std::printf("async_parked=%lld\n",
+                static_cast<long long>(proxy.moderator().async_parked()));
     for (const auto& e : log.by_category("watchdog")) {
       std::printf("invocation %llu: %s\n",
                   static_cast<unsigned long long>(e.invocation_id),
@@ -211,7 +210,7 @@ TEST_P(ChaosSweep, ProtocolHoldsUnderRandomConcernGraphs) {
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().description);
   // Nobody left behind.
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, ChaosSweep,
@@ -290,7 +289,7 @@ TEST(SeededChaosTest, FaultStormKeepsProtocolInvariants) {
   const auto violations = core::TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().description);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
 }
 
 TEST(SeededChaosTest, SameSeedReproducesTheAbortSchedule) {
@@ -475,7 +474,7 @@ TEST(OverloadStormTest, HighPriorityRetainsServiceWhileLowPrioritySheds) {
   const auto violations = core::TraceValidator::validate(log);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().description);
-  EXPECT_EQ(proxy.moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy.moderator().async_parked(), 0);
   EXPECT_EQ(limiter->in_flight(), 0u);
 }
 

@@ -21,18 +21,8 @@ using runtime::AspectKind;
 using runtime::MethodId;
 
 struct Account {
-  // Accessed via atomic_ref because ConditionalSynchronizationForWritersOnly
-  // deliberately reads while a writer holds the conditional mutex — the
-  // pattern is only sound for atomically readable state, which is exactly
-  // its point. (atomic_ref keeps the component movable for the proxy.)
   long balance = 0;
-  void deposit(long amount) {
-    std::atomic_ref(balance).fetch_add(amount, std::memory_order_relaxed);
-  }
-  long read_balance() const {
-    return std::atomic_ref(const_cast<long&>(balance))
-        .load(std::memory_order_relaxed);
-  }
+  void deposit(long amount) { balance += amount; }
 };
 
 TEST(CompositionMatrixTest, AuthThenBulkheadThenMutex) {
@@ -78,46 +68,6 @@ TEST(CompositionMatrixTest, AuthThenBulkheadThenMutex) {
   }
   EXPECT_EQ(completed.load(), 800);
   EXPECT_EQ(proxy.component().balance, 800);
-}
-
-TEST(CompositionMatrixTest, ConditionalSynchronizationForWritersOnly) {
-  // A single cell applies mutual exclusion ONLY to calls noted as writes;
-  // reads pass unguarded (cheaper than a ReadersWriterAspect when reads
-  // tolerate staleness).
-  ComponentProxy<Account> proxy{Account{}};
-  const auto m = MethodId::of("cm-cond");
-  auto inner = std::make_shared<aspects::MutualExclusionAspect>();
-  proxy.moderator().register_aspect(
-      m, AspectKind::of("cm-c1"),
-      core::only_when(
-          [](const InvocationContext& ctx) {
-            return ctx.note("mode") == "write";
-          },
-          inner));
-
-  // A long write holds the lock...
-  std::atomic<bool> writer_in{false};
-  std::jthread writer([&] {
-    (void)proxy.call(m).note("mode", "write").run([&](Account& a) {
-      writer_in.store(true);
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      a.deposit(1);
-    });
-  });
-  while (!writer_in.load()) std::this_thread::yield();
-
-  // ...a read is NOT blocked by it...
-  auto read = proxy.call(m)
-                  .within(std::chrono::milliseconds(20))
-                  .run([](Account& a) { return a.read_balance(); });
-  EXPECT_TRUE(read.ok());
-
-  // ...but a second write is.
-  auto write2 = proxy.call(m)
-                    .note("mode", "write")
-                    .within(std::chrono::milliseconds(10))
-                    .run([](Account& a) { a.deposit(1); });
-  EXPECT_EQ(write2.status, InvocationStatus::kTimedOut);
 }
 
 TEST(CompositionMatrixTest, RateLimitComposesWithCircuitBreaker) {

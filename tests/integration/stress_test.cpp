@@ -154,7 +154,7 @@ TEST(StressTest, ShutdownDrainsCleanlyUnderLoad) {
     proxy->moderator().shutdown();
   }
   EXPECT_GT(completed.load(), 0);
-  EXPECT_EQ(proxy->moderator().blocked_waiters(), 0u);
+  EXPECT_EQ(proxy->moderator().async_parked(), 0);
 }
 
 TEST(StressTest, ThrowingBodiesNeverLeakAspectState) {

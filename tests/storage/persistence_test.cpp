@@ -3,6 +3,7 @@
 // protocol trace staying G4-clean on a recovery run.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <filesystem>
@@ -71,6 +72,48 @@ class PersistenceTest : public ::testing::Test {
 
   fs::path dir_;
 };
+
+TEST_F(PersistenceTest, WiringPublishesCellsAndPlansInOneEpoch) {
+  auto app = DurableTicketApp::open(dir());
+  ASSERT_TRUE(app.ok());
+  const auto& bank = app.value()->proxy().moderator().bank();
+  // The empty bank's epoch, the ticket wiring, the kind order, and the
+  // durable cells with their plans.
+  EXPECT_EQ(bank.version(), 4u);
+  std::vector<runtime::MethodId> all{apps::ticket::open_method(),
+                                     apps::ticket::assign_method(),
+                                     apps::ticket::checkpoint_method()};
+  std::sort(all.begin(), all.end());
+  const auto composition = bank.composition();
+  for (const auto m : all) {
+    const core::MethodRecord& rec = composition->find(m);
+    ASSERT_NE(rec.wake, nullptr);
+    EXPECT_EQ(*rec.wake, all);
+    EXPECT_TRUE(rec.woken);
+  }
+}
+
+TEST_F(PersistenceTest, AuthenticationExtensionKeepsEveryDurableCell) {
+  // extend_with_authentication orders {authentication, synchronization};
+  // the durable app's exclusion and persistence kinds keep their places
+  // after them instead of leaving the chains.
+  runtime::CredentialStore store;
+  auto app = DurableTicketApp::open(dir());
+  ASSERT_TRUE(app.ok());
+  auto& proxy = app.value()->proxy();
+  apps::ticket::extend_with_authentication(proxy, store);
+  const std::vector<runtime::AspectKind> want{
+      runtime::kinds::authentication(), runtime::kinds::synchronization(),
+      runtime::AspectKind::of("exclusion"), runtime::kinds::persistence()};
+  for (const auto m :
+       {apps::ticket::open_method(), apps::ticket::assign_method()}) {
+    std::vector<runtime::AspectKind> kinds;
+    for (const auto& e : *proxy.moderator().bank().chain(m)) {
+      kinds.push_back(e.kind);
+    }
+    EXPECT_EQ(kinds, want) << m.name();
+  }
+}
 
 TEST_F(PersistenceTest, TicketHistorySurvivesReopen) {
   {
